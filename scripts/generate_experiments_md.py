@@ -310,7 +310,16 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "for ~0.4–0.8 s across R = 1–3 while 2PC holds them 4.3–12.7 "
         "s at R ≤ 2 (seed 7) — quorum commit, not replication alone, "
         "is what shortens the blocking window "
-        "(`tests/test_paxos_replication.py`)."),
+        "(`tests/test_paxos_replication.py`).  "
+        "All five extension sweeps of (4), (5) and (7)–(9) are "
+        "`GridSweep` grids (`repro.experiments.grid`): named axes, one "
+        "point function per sweep, one pool path through "
+        "`ParallelSweepRunner`, and fail-fast validation of every point "
+        "before the first simulation (so `--protocols all` drops CENT "
+        "on the multi-datacenter sweeps); their small-grid summaries "
+        "are pinned byte-for-byte by "
+        "`tests/data/golden_sweep_summaries.json` "
+        "(`tests/experiments/test_grid.py`)."),
 }
 
 #: experiment ids whose measured series get a table, in document order.

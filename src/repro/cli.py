@@ -31,9 +31,17 @@ import typing
 import repro
 from repro.config import DEFAULT_OPEN_ARRIVAL_TPS
 from repro.analysis.tables import render_comparison
-from repro.experiments import get_experiment
+from repro.experiments import (
+    availability,
+    get_experiment,
+    region_outage,
+    replication,
+    saturation,
+    wan,
+)
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.overheads import render_table
+from repro.experiments.grid import GridSweep
 from repro.experiments.runner import resolve_jobs
 
 
@@ -62,12 +70,33 @@ def _parse_target_ci(text: str) -> float:
     return target
 
 
-def _parse_mpls(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--mpls wants comma-separated integers, got {text!r}")
+def _csv(flag: str, convert: typing.Callable[[str], typing.Any],
+         kind: str, valid: typing.Callable[[typing.Any], bool] | None = None,
+         requirement: str = "") -> typing.Callable[[str], tuple]:
+    """Parser for a comma-separated list flag: ``convert`` each part,
+    then require ``valid`` of every value."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} wants comma-separated {kind}, got {text!r}")
+        if valid is not None and not all(map(valid, values)):
+            raise argparse.ArgumentTypeError(
+                f"{flag} wants {requirement}, got {text!r}")
+        return values
+    return parse
+
+
+_parse_mpls = _csv("--mpls", int, "integers")
+_parse_factors = _csv("--factors", int, "integers", lambda factor: factor >= 1,
+                      "replication factors >= 1")
+_parse_rates = _csv("--rates", float, "numbers", lambda rate: rate > 0,
+                    "positive arrival rates")
+# Grid axes parsed by ``cmd_grid`` (a bad list is an ``error:`` line).
+_parse_mttfs = _csv("--mttfs", float, "numbers")
+_parse_rtts = _csv("--rtts", float, "numbers")
+_parse_durations = _csv("--durations", float, "numbers")
 
 
 def _parse_skew(text: str):
@@ -108,30 +137,6 @@ def _parse_replication(text: str):
         return ReplicationSpec.parse(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
-
-
-def _parse_factors(text: str) -> tuple[int, ...]:
-    try:
-        factors = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--factors wants comma-separated integers, got {text!r}")
-    if not factors or any(factor < 1 for factor in factors):
-        raise argparse.ArgumentTypeError(
-            f"--factors wants replication factors >= 1, got {text!r}")
-    return factors
-
-
-def _parse_rates(text: str) -> tuple[float, ...]:
-    try:
-        rates = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--rates wants comma-separated numbers, got {text!r}")
-    if not rates or any(rate <= 0 for rate in rates):
-        raise argparse.ArgumentTypeError(
-            f"--rates wants positive arrival rates, got {text!r}")
-    return rates
 
 
 def _add_open_args(parser: argparse.ArgumentParser) -> None:
@@ -202,6 +207,204 @@ def _open_overrides(args: argparse.Namespace) -> dict[str, object]:
     elif args.arrival_rate is not None:
         raise ValueError("--arrival-rate requires --open")
     return overrides
+
+
+# ----------------------------------------------------------------------
+# Grid-sweep subcommands: one handler, one argument helper
+# ----------------------------------------------------------------------
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(","))
+
+
+#: One ``add_argument`` call: (flags, keyword arguments).
+_Option = tuple[tuple[str, ...], dict[str, typing.Any]]
+
+
+def _opt(*flags: str, **kwargs: typing.Any) -> _Option:
+    return flags, kwargs
+
+
+@dataclasses.dataclass(frozen=True)
+class _GridCommand:
+    """A grid-sweep subcommand: the module function that makes its
+    sweep, the keyword arguments its own options (in ``--help`` order,
+    between ``--protocols`` and ``--transactions``) pass to it, and its
+    defaults."""
+
+    help: str
+    sweep: typing.Callable[..., GridSweep]
+    kwargs: typing.Callable[[argparse.Namespace], dict[str, typing.Any]]
+    options: tuple[_Option, ...]
+    protocols: str = "2PC,PA,PC,3PC,OPT"
+    transactions: int = 300
+    seed: int = 20250705
+    jobs: bool = False
+    topology_args: bool = False
+
+    def build(self, args: argparse.Namespace,
+              protocols: tuple[str, ...]) -> GridSweep:
+        kwargs = self.kwargs(args)
+        if self.topology_args:
+            overrides = _topology_overrides(args)
+            kwargs["params"] = (repro.ModelParams(**overrides)
+                                if overrides else None)
+        return self.sweep(protocols, mpl=args.mpl,
+                          measured_transactions=args.transactions,
+                          seed=args.seed, **kwargs)
+
+
+_MPL = _opt("--mpl", type=int, default=2)
+_OUTAGE_TOPOLOGY = _opt(
+    "--topology", type=_parse_topology, default="dcs:2x2:rtt_ms=5",
+    metavar="SPEC",
+    help="multi-DC topology the outage hits (default dcs:2x2:rtt_ms=5); "
+         "num_sites is derived from it")
+_AT_MS = _opt("--at-ms", type=float, default=1000.0,
+              help="outage onset time in ms (default 1000)")
+
+_GRID_COMMANDS: dict[str, _GridCommand] = {
+    "saturation": _GridCommand(
+        help="open-system carried load vs offered load, per protocol",
+        sweep=saturation.sweep,
+        kwargs=lambda args: dict(rates=args.rates, skew=args.skew,
+                                 queue_limit=args.queue_limit),
+        options=(
+            _opt("--rates", type=_parse_rates, default="0.5,1,1.5,2,3,5",
+                 help="comma-separated per-site arrival rates in txns/s "
+                      "(default 0.5,1,1.5,2,3,5)"),
+            _opt("--mpl", type=int, default=8,
+                 help="per-site concurrency cap"),
+            _opt("--skew", type=_parse_skew, default=None, metavar="SPEC",
+                 help="page-access skew (see simulate --skew)"),
+            _opt("--queue-limit", type=int, default=64,
+                 help="per-site admission queue bound"),
+        ),
+        topology_args=True),
+    "wan": _GridCommand(
+        help="commit latency vs cross-DC RTT across 2-3 datacenters",
+        sweep=wan.sweep,
+        kwargs=lambda args: dict(rtts_ms=_parse_rtts(args.rtts),
+                                 placements=_names(args.placements),
+                                 num_dcs=args.dcs),
+        options=(
+            _opt("--rtts", default="0,10,40,100",
+                 help="comma-separated cross-DC round-trip times in ms "
+                      "(default 0,10,40,100)"),
+            _opt("--dcs", type=int, default=2,
+                 help="number of datacenters the sites split into "
+                      "(default 2)"),
+            _opt("--placements", default="spread,local",
+                 help="comma-separated cohort placements: 'spread' (the "
+                      "paper's uniform choice) and/or 'local' (prefer "
+                      "same-DC cohorts); default both"),
+            _MPL,
+        )),
+    "availability": _GridCommand(
+        help="throughput vs site MTTF under fault injection",
+        sweep=availability.sweep,
+        kwargs=lambda args: dict(mttfs=_parse_mttfs(args.mttfs),
+                                 mttr_ms=args.mttr_ms,
+                                 msg_loss_prob=args.msg_loss),
+        options=(
+            _opt("--mttfs", default="0,400000,200000,100000",
+                 help="comma-separated site MTTFs in ms "
+                      "(0 = failure-free baseline)"),
+            _opt("--mttr-ms", type=float, default=5_000.0,
+                 help="mean site repair time in ms"),
+            _opt("--msg-loss", type=float, default=0.0,
+                 help="per-message loss probability"),
+            _MPL,
+        ),
+        jobs=True, topology_args=True),
+    "region-outage": _GridCommand(
+        help="blocked locks and carried load under DC outages and "
+             "WAN partitions",
+        sweep=region_outage.sweep,
+        kwargs=lambda args: dict(
+            outages=_names(args.outages),
+            durations_ms=_parse_durations(args.durations),
+            topology=args.topology, at_ms=args.at_ms),
+        options=(
+            _opt("--outages", default="dc_crash,partition",
+                 help="comma-separated outage shapes: 'dc_crash' "
+                      "(datacenter 0 down atomically) and/or 'partition' "
+                      "(links between DCs 0 and 1 severed); default both"),
+            _opt("--durations", default="2000,4000",
+                 help="comma-separated outage durations in ms "
+                      "(default 2000,4000)"),
+            _OUTAGE_TOPOLOGY, _AT_MS, _MPL,
+        ),
+        transactions=40, seed=7),
+    "replication": _GridCommand(
+        help="quorum commit over replicated pages: blocked locks and "
+             "carried load across replication factor x site MTTF under "
+             "a DC outage",
+        sweep=replication.sweep,
+        kwargs=lambda args: dict(
+            factors=args.factors, mttfs=_parse_mttfs(args.mttfs),
+            topology=args.topology, at_ms=args.at_ms,
+            outage_ms=args.outage_ms, mttr_ms=args.mttr_ms),
+        options=(
+            _opt("--factors", type=_parse_factors, default=(1, 2, 3),
+                 help="comma-separated replication factors "
+                      "(default 1,2,3)"),
+            _opt("--mttfs", default="0,60000",
+                 help="comma-separated site MTTFs in ms layered on top of "
+                      "the DC outage (0 = outage only; default 0,60000)"),
+            _opt("--mttr-ms", type=float, default=2000.0,
+                 help="mean site repair time in ms (default 2000)"),
+            _OUTAGE_TOPOLOGY, _AT_MS,
+            _opt("--outage-ms", type=float, default=1500.0,
+                 help="DC outage duration in ms (default 1500)"),
+            _MPL,
+        ),
+        protocols="2PC,3PC,PAXOS", transactions=40, seed=7),
+}
+
+
+def _add_grid_parser(sub: typing.Any, name: str) -> None:
+    """The shared argument helper behind every grid-sweep subcommand."""
+    command = _GRID_COMMANDS[name]
+    parser = sub.add_parser(name, help=command.help)
+    parser.add_argument(
+        "--protocols", default=command.protocols,
+        help=f"comma-separated protocol names (default "
+             f"{command.protocols}; 'all' = every registered protocol "
+             f"whose configuration is valid for this sweep, so CENT "
+             f"drops out on multi-datacenter grids)")
+    for flags, kwargs in command.options:
+        parser.add_argument(*flags, **kwargs)
+    parser.add_argument("--transactions", type=int,
+                        default=command.transactions,
+                        help="measured transactions per point")
+    parser.add_argument("--seed", type=int, default=command.seed)
+    if command.jobs:
+        parser.add_argument(
+            "--jobs", type=_parse_jobs, default=1, metavar="N",
+            help="worker processes for the sweep grid, reused from a warm "
+                 "shared pool (0 = all CPU cores; default 1, in-process)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-point progress output")
+    if command.topology_args:
+        _add_topology_args(parser)
+
+
+def _grid_protocols(command: _GridCommand,
+                    args: argparse.Namespace) -> tuple[str, ...]:
+    """``--protocols``: a comma list, or ``all`` = every registered
+    protocol whose grid points validate for this sweep."""
+    if args.protocols.strip().lower() != "all":
+        return _names(args.protocols)
+    valid = []
+    for name in repro.PROTOCOL_NAMES:
+        try:
+            command.build(args, (name,)).configs()
+        except ValueError:
+            continue
+        valid.append(name)
+    # Nothing valid means the sweep itself is misconfigured: keep every
+    # protocol so the real error surfaces.
+    return tuple(valid) or tuple(repro.PROTOCOL_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,53 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_open_args(sim)
     _add_fault_args(sim)
 
-    sat = sub.add_parser(
-        "saturation",
-        help="open-system carried load vs offered load, per protocol")
-    sat.add_argument("--protocols", default="2PC,PA,PC,3PC,OPT",
-                     help="comma-separated protocol names "
-                          "(default 2PC,PA,PC,3PC,OPT; 'all' = every "
-                          "registered protocol)")
-    sat.add_argument("--rates", type=_parse_rates, default=None,
-                     help="comma-separated per-site arrival rates in "
-                          "txns/s (default 0.5,1,1.5,2,3,5)")
-    sat.add_argument("--mpl", type=int, default=8,
-                     help="per-site concurrency cap")
-    sat.add_argument("--skew", type=_parse_skew, default=None,
-                     metavar="SPEC",
-                     help="page-access skew (see simulate --skew)")
-    sat.add_argument("--queue-limit", type=int, default=64,
-                     help="per-site admission queue bound")
-    sat.add_argument("--transactions", type=int, default=300,
-                     help="measured transactions per point")
-    sat.add_argument("--seed", type=int, default=20250705)
-    sat.add_argument("--quiet", action="store_true",
-                     help="suppress per-point progress output")
-    _add_topology_args(sat)
-
-    wan = sub.add_parser(
-        "wan",
-        help="commit latency vs cross-DC RTT across 2-3 datacenters")
-    wan.add_argument("--protocols", default="2PC,PA,PC,3PC,OPT",
-                     help="comma-separated protocol names "
-                          "(default 2PC,PA,PC,3PC,OPT; 'all' = every "
-                          "registered protocol)")
-    wan.add_argument("--rtts", default="0,10,40,100",
-                     help="comma-separated cross-DC round-trip times "
-                          "in ms (default 0,10,40,100)")
-    wan.add_argument("--dcs", type=int, default=2,
-                     help="number of datacenters the sites split into "
-                          "(default 2)")
-    wan.add_argument("--placements", default="spread,local",
-                     help="comma-separated cohort placements: 'spread' "
-                          "(the paper's uniform choice) and/or 'local' "
-                          "(prefer same-DC cohorts); default both")
-    wan.add_argument("--mpl", type=int, default=2)
-    wan.add_argument("--transactions", type=int, default=300,
-                     help="measured transactions per point")
-    wan.add_argument("--seed", type=int, default=20250705)
-    wan.add_argument("--quiet", action="store_true",
-                     help="suppress per-point progress output")
+    _add_grid_parser(sub, "saturation")
+    _add_grid_parser(sub, "wan")
 
     soak = sub.add_parser(
         "soak",
@@ -379,95 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="suppress per-segment progress output")
     _add_topology_args(soak)
 
-    avail = sub.add_parser(
-        "availability",
-        help="throughput vs site MTTF under fault injection")
-    avail.add_argument("--protocols", default="2PC,PA,PC,3PC,OPT",
-                       help="comma-separated protocol names "
-                            "(default 2PC,PA,PC,3PC,OPT; 'all' = every "
-                            "registered protocol)")
-    avail.add_argument("--mttfs", default="0,400000,200000,100000",
-                       help="comma-separated site MTTFs in ms "
-                            "(0 = failure-free baseline)")
-    avail.add_argument("--mttr-ms", type=float, default=5_000.0,
-                       help="mean site repair time in ms")
-    avail.add_argument("--msg-loss", type=float, default=0.0,
-                       help="per-message loss probability")
-    avail.add_argument("--mpl", type=int, default=2)
-    avail.add_argument("--transactions", type=int, default=300,
-                       help="measured transactions per point")
-    avail.add_argument("--seed", type=int, default=20250705)
-    avail.add_argument("--jobs", type=_parse_jobs, default=1, metavar="N",
-                       help="worker processes for the sweep grid, reused "
-                            "from a warm shared pool (0 = all CPU cores; "
-                            "default 1, in-process)")
-    avail.add_argument("--quiet", action="store_true",
-                       help="suppress per-point progress output")
-    _add_topology_args(avail)
-
-    region = sub.add_parser(
-        "region-outage",
-        help="blocked locks and carried load under DC outages and "
-             "WAN partitions")
-    region.add_argument("--protocols", default="2PC,PA,PC,3PC,OPT",
-                        help="comma-separated protocol names "
-                             "(default 2PC,PA,PC,3PC,OPT; 'all' = every "
-                             "registered protocol)")
-    region.add_argument("--outages", default="dc_crash,partition",
-                        help="comma-separated outage shapes: 'dc_crash' "
-                             "(datacenter 0 down atomically) and/or "
-                             "'partition' (links between DCs 0 and 1 "
-                             "severed); default both")
-    region.add_argument("--durations", default="2000,4000",
-                        help="comma-separated outage durations in ms "
-                             "(default 2000,4000)")
-    region.add_argument("--topology", type=_parse_topology,
-                        default=None, metavar="SPEC",
-                        help="multi-DC topology the outage hits "
-                             "(default dcs:2x2:rtt_ms=5); num_sites is "
-                             "derived from it")
-    region.add_argument("--at-ms", type=float, default=1000.0,
-                        help="outage onset time in ms (default 1000)")
-    region.add_argument("--mpl", type=int, default=2)
-    region.add_argument("--transactions", type=int, default=40,
-                        help="measured transactions per point")
-    region.add_argument("--seed", type=int, default=7)
-    region.add_argument("--quiet", action="store_true",
-                        help="suppress per-point progress output")
-
-    repl = sub.add_parser(
-        "replication",
-        help="quorum commit over replicated pages: blocked locks and "
-             "carried load across replication factor x site MTTF under "
-             "a DC outage")
-    repl.add_argument("--protocols", default="2PC,3PC,PAXOS",
-                      help="comma-separated protocol names "
-                           "(default 2PC,3PC,PAXOS; 'all' = every "
-                           "registered protocol)")
-    repl.add_argument("--factors", type=_parse_factors, default=(1, 2, 3),
-                      help="comma-separated replication factors "
-                           "(default 1,2,3)")
-    repl.add_argument("--mttfs", default="0,60000",
-                      help="comma-separated site MTTFs in ms layered on "
-                           "top of the DC outage (0 = outage only; "
-                           "default 0,60000)")
-    repl.add_argument("--mttr-ms", type=float, default=2000.0,
-                      help="mean site repair time in ms (default 2000)")
-    repl.add_argument("--topology", type=_parse_topology,
-                      default=None, metavar="SPEC",
-                      help="multi-DC topology the outage hits "
-                           "(default dcs:2x2:rtt_ms=5); num_sites is "
-                           "derived from it")
-    repl.add_argument("--at-ms", type=float, default=1000.0,
-                      help="outage onset time in ms (default 1000)")
-    repl.add_argument("--outage-ms", type=float, default=1500.0,
-                      help="DC outage duration in ms (default 1500)")
-    repl.add_argument("--mpl", type=int, default=2)
-    repl.add_argument("--transactions", type=int, default=40,
-                      help="measured transactions per point")
-    repl.add_argument("--seed", type=int, default=7)
-    repl.add_argument("--quiet", action="store_true",
-                      help="suppress per-point progress output")
+    for name in ("availability", "region-outage", "replication"):
+        _add_grid_parser(sub, name)
     return parser
 
 
@@ -711,158 +782,17 @@ def cmd_soak(args: argparse.Namespace, out: typing.TextIO) -> int:
     return 0
 
 
-def cmd_availability(args: argparse.Namespace, out: typing.TextIO) -> int:
-    from repro.experiments.availability import AvailabilitySweep
-    if args.protocols.strip().lower() == "all":
-        protocols: typing.Sequence[str] = repro.PROTOCOL_NAMES
-    else:
-        protocols = tuple(p.strip() for p in args.protocols.split(","))
-    try:
-        mttfs = tuple(float(part) for part in args.mttfs.split(","))
-    except ValueError:
-        out.write(f"error: --mttfs wants comma-separated numbers, "
-                  f"got {args.mttfs!r}\n")
-        return 2
+def cmd_grid(command: _GridCommand, args: argparse.Namespace,
+             out: typing.TextIO) -> int:
+    """The one handler behind every grid-sweep subcommand."""
     progress = None if args.quiet else (
         lambda text: out.write(f"  ... {text}\n"))
     started = time.time()
     try:
-        overrides = _topology_overrides(args)
-        params = repro.ModelParams(**overrides) if overrides else None
-        sweep = AvailabilitySweep(protocols, mttfs=mttfs,
-                                  mttr_ms=args.mttr_ms,
-                                  msg_loss_prob=args.msg_loss, mpl=args.mpl,
-                                  params=params,
-                                  measured_transactions=args.transactions,
-                                  seed=args.seed)
-        results = sweep.run(progress=progress, jobs=resolve_jobs(args.jobs))
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    out.write(results.summary() + "\n")
-    out.write(f"(completed in {time.time() - started:.1f}s wall time)\n")
-    return 0
-
-
-def cmd_region_outage(args: argparse.Namespace, out: typing.TextIO) -> int:
-    from repro.experiments.region_outage import RegionOutageSweep
-    if args.protocols.strip().lower() == "all":
-        protocols: typing.Sequence[str] = repro.PROTOCOL_NAMES
-    else:
-        protocols = tuple(p.strip() for p in args.protocols.split(","))
-    outages = tuple(o.strip() for o in args.outages.split(","))
-    try:
-        durations = tuple(float(part)
-                          for part in args.durations.split(","))
-    except ValueError:
-        out.write(f"error: --durations wants comma-separated numbers, "
-                  f"got {args.durations!r}\n")
-        return 2
-    progress = None if args.quiet else (
-        lambda text: out.write(f"  ... {text}\n"))
-    started = time.time()
-    try:
-        topology = (args.topology if args.topology is not None
-                    else "dcs:2x2:rtt_ms=5")
-        sweep = RegionOutageSweep(protocols, outages=outages,
-                                  durations_ms=durations,
-                                  topology=topology, mpl=args.mpl,
-                                  at_ms=args.at_ms,
-                                  measured_transactions=args.transactions,
-                                  seed=args.seed)
-        results = sweep.run(progress=progress)
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    out.write(results.summary() + "\n")
-    out.write(f"(completed in {time.time() - started:.1f}s wall time)\n")
-    return 0
-
-
-def cmd_replication(args: argparse.Namespace, out: typing.TextIO) -> int:
-    from repro.experiments.replication import ReplicationSweep
-    if args.protocols.strip().lower() == "all":
-        protocols: typing.Sequence[str] = repro.PROTOCOL_NAMES
-    else:
-        protocols = tuple(p.strip() for p in args.protocols.split(","))
-    try:
-        mttfs = tuple(float(part) for part in args.mttfs.split(","))
-    except ValueError:
-        out.write(f"error: --mttfs wants comma-separated numbers, "
-                  f"got {args.mttfs!r}\n")
-        return 2
-    progress = None if args.quiet else (
-        lambda text: out.write(f"  ... {text}\n"))
-    started = time.time()
-    try:
-        topology = (args.topology if args.topology is not None
-                    else "dcs:2x2:rtt_ms=5")
-        sweep = ReplicationSweep(protocols, factors=args.factors,
-                                 mttfs=mttfs, topology=topology,
-                                 mpl=args.mpl, at_ms=args.at_ms,
-                                 outage_ms=args.outage_ms,
-                                 mttr_ms=args.mttr_ms,
-                                 measured_transactions=args.transactions,
-                                 seed=args.seed)
-        results = sweep.run(progress=progress)
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    out.write(results.summary() + "\n")
-    out.write(f"(completed in {time.time() - started:.1f}s wall time)\n")
-    return 0
-
-
-def cmd_saturation(args: argparse.Namespace, out: typing.TextIO) -> int:
-    from repro.experiments.saturation import DEFAULT_RATES, SaturationSweep
-    if args.protocols.strip().lower() == "all":
-        protocols: typing.Sequence[str] = repro.PROTOCOL_NAMES
-    else:
-        protocols = tuple(p.strip() for p in args.protocols.split(","))
-    progress = None if args.quiet else (
-        lambda text: out.write(f"  ... {text}\n"))
-    started = time.time()
-    try:
-        overrides = _topology_overrides(args)
-        params = repro.ModelParams(**overrides) if overrides else None
-        sweep = SaturationSweep(
-            protocols,
-            rates=args.rates if args.rates is not None else DEFAULT_RATES,
-            mpl=args.mpl, skew=args.skew, queue_limit=args.queue_limit,
-            params=params,
-            measured_transactions=args.transactions, seed=args.seed)
-        results = sweep.run(progress=progress)
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    out.write(results.summary() + "\n")
-    out.write(f"(completed in {time.time() - started:.1f}s wall time)\n")
-    return 0
-
-
-def cmd_wan(args: argparse.Namespace, out: typing.TextIO) -> int:
-    from repro.experiments.wan import WanSweep
-    if args.protocols.strip().lower() == "all":
-        protocols: typing.Sequence[str] = repro.PROTOCOL_NAMES
-    else:
-        protocols = tuple(p.strip() for p in args.protocols.split(","))
-    try:
-        rtts = tuple(float(part) for part in args.rtts.split(","))
-    except ValueError:
-        out.write(f"error: --rtts wants comma-separated numbers, "
-                  f"got {args.rtts!r}\n")
-        return 2
-    placements = tuple(p.strip() for p in args.placements.split(","))
-    progress = None if args.quiet else (
-        lambda text: out.write(f"  ... {text}\n"))
-    started = time.time()
-    try:
-        sweep = WanSweep(protocols, rtts_ms=rtts, placements=placements,
-                         num_dcs=args.dcs, mpl=args.mpl,
-                         measured_transactions=args.transactions,
-                         seed=args.seed)
-        results = sweep.run(progress=progress)
-    except ValueError as error:
+        sweep = command.build(args, _grid_protocols(command, args))
+        results = sweep.run(progress=progress,
+                            jobs=resolve_jobs(getattr(args, "jobs", 1)))
+    except (ValueError, argparse.ArgumentTypeError) as error:
         out.write(f"error: {error}\n")
         return 2
     out.write(results.summary() + "\n")
@@ -881,16 +811,8 @@ def main(argv: typing.Sequence[str] | None = None,
         return cmd_tables(args, out)
     if args.command == "simulate":
         return cmd_simulate(args, out)
-    if args.command == "availability":
-        return cmd_availability(args, out)
-    if args.command == "region-outage":
-        return cmd_region_outage(args, out)
-    if args.command == "replication":
-        return cmd_replication(args, out)
-    if args.command == "saturation":
-        return cmd_saturation(args, out)
-    if args.command == "wan":
-        return cmd_wan(args, out)
+    if args.command in _GRID_COMMANDS:
+        return cmd_grid(_GRID_COMMANDS[args.command], args, out)
     if args.command == "soak":
         return cmd_soak(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")

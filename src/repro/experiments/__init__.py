@@ -3,36 +3,25 @@
 Each experiment module exposes an :data:`EXPERIMENT` definition mapping
 a paper artifact (table or figure) to a parameter sweep; the shared
 runner in :mod:`repro.experiments.base` executes sweeps and collects
-series.  ``python -m repro.cli`` runs them from the command line; the
-``benchmarks/`` directory wraps them for pytest-benchmark.
+series.  The extension sweeps (availability, wan, region_outage,
+replication, saturation) each build a :class:`GridSweep`
+(:mod:`repro.experiments.grid`).  ``python -m repro.cli`` runs them from
+the command line; the ``benchmarks/`` directory wraps them for
+pytest-benchmark.
 """
 
-from repro.experiments.availability import (
-    AvailabilityPoint,
-    AvailabilityResults,
-    AvailabilitySweep,
-)
 from repro.experiments.base import (
     ExperimentDefinition,
     ExperimentResults,
     MplSweep,
     SweepPoint,
 )
+from repro.experiments.grid import GridResults, GridSweep
 from repro.experiments.pool import shutdown_pool
-from repro.experiments.region_outage import (
-    RegionOutagePoint,
-    RegionOutageResults,
-    RegionOutageSweep,
-)
 from repro.experiments.registry import (
     EXPERIMENTS,
     experiment_ids,
     get_experiment,
-)
-from repro.experiments.replication import (
-    ReplicationPoint,
-    ReplicationResults,
-    ReplicationSweep,
 )
 from repro.experiments.runner import (
     ParallelSweepRunner,
@@ -43,43 +32,20 @@ from repro.experiments.runner import (
     point_seed,
     resolve_jobs,
 )
-from repro.experiments.saturation import (
-    SaturationPoint,
-    SaturationResults,
-    SaturationSweep,
-)
-from repro.experiments.wan import (
-    WanPoint,
-    WanResults,
-    WanSweep,
-)
 
 __all__ = [
-    "AvailabilityPoint",
-    "AvailabilityResults",
-    "AvailabilitySweep",
     "EXPERIMENTS",
     "ExperimentDefinition",
     "ExperimentResults",
+    "GridResults",
+    "GridSweep",
     "MplSweep",
     "ParallelSweepRunner",
     "PointSpec",
     "PointSummary",
-    "RegionOutagePoint",
-    "RegionOutageResults",
-    "RegionOutageSweep",
-    "ReplicationPoint",
-    "ReplicationResults",
-    "ReplicationSweep",
-    "SaturationPoint",
-    "SaturationResults",
-    "SaturationSweep",
     "SweepCounts",
     "SweepPoint",
     "SweepWorkerError",
-    "WanPoint",
-    "WanResults",
-    "WanSweep",
     "experiment_ids",
     "get_experiment",
     "point_seed",

@@ -21,181 +21,90 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import repro
 from repro.config import ModelParams
-from repro.db.system import DistributedSystem, SimulationResult
+from repro.experiments.grid import GridResults, GridSweep, Metrics, PointConfig
 from repro.faults import FaultConfig, FaultTimeouts
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.system import DistributedSystem
 
 DEFAULT_MTTFS: tuple[float, ...] = (0.0, 400_000.0, 200_000.0, 100_000.0)
 
 
-@dataclasses.dataclass
-class AvailabilityPoint:
-    """One (protocol, mttf) grid point."""
-
-    protocol: str
-    mttf_ms: float
-    result: SimulationResult
-    crashes: int
-    recoveries: int
-    messages_dropped: int
-    in_doubt_resolved: int
-    #: network drop split, e.g. {"site_down": 3, "injected_loss": 2};
-    #: sums to the network layer's total drop count for the run.
-    drops_by_reason: dict[str, int] = dataclasses.field(
-        default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        return self.result.throughput
-
-    @property
-    def abort_ratio(self) -> float:
-        return self.result.abort_ratio
-
-
-@dataclasses.dataclass
-class AvailabilityResults:
-    """All points of one availability sweep, with rendering helpers."""
-
-    points: dict[tuple[str, float], AvailabilityPoint]
-    protocols: tuple[str, ...]
-    mttfs: tuple[float, ...]
-
-    def point(self, protocol: str, mttf_ms: float) -> AvailabilityPoint:
-        return self.points[(protocol, mttf_ms)]
-
-    def series(self, protocol: str) -> list[tuple[float, float]]:
-        """[(mttf_ms, throughput), ...] for one protocol's curve."""
-        return [(mttf, self.points[(protocol, mttf)].throughput)
-                for mttf in self.mttfs]
-
-    def table(self, precision: int = 2) -> str:
-        """Text table: rows are MTTFs, one throughput column per
-        protocol (``inf`` row label for the failure-free baseline)."""
-        width = max(8, max(len(p) for p in self.protocols) + 1)
-        header = f"{'MTTF(s)':>9} " + "".join(
-            f"{p:>{width}}" for p in self.protocols)
-        lines = [header, "-" * len(header)]
-        for mttf in self.mttfs:
-            label = "inf" if mttf == 0 else f"{mttf / 1000:.0f}"
-            row = f"{label:>9} "
-            for protocol in self.protocols:
-                value = self.points[(protocol, mttf)].throughput
-                row += f"{value:>{width}.{precision}f}"
-            lines.append(row)
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        lines = ["== availability: throughput vs site MTTF =="]
-        lines.append(self.table())
-        totals = {}
-        splits: dict[str, dict[str, int]] = {}
-        for point in self.points.values():
-            entry = totals.setdefault(point.protocol, [0, 0, 0])
-            entry[0] += point.crashes
-            entry[1] += point.messages_dropped
-            entry[2] += point.in_doubt_resolved
-            split = splits.setdefault(point.protocol, {})
-            for reason, count in point.drops_by_reason.items():
-                split[reason] = split.get(reason, 0) + count
-        for protocol in self.protocols:
-            crashes, dropped, resolved = totals[protocol]
-            rendered = ", ".join(
-                f"{reason}={count}" for reason, count
-                in sorted(splits[protocol].items()))
-            by_reason = f" ({rendered})" if rendered else ""
-            lines.append(
-                f"{protocol:>8}: {crashes} crashes survived, "
-                f"{dropped} messages dropped{by_reason}, "
-                f"{resolved} in-doubt transactions resolved")
-        return "\n".join(lines)
-
-
-class AvailabilitySweep:
-    """Runs a protocol x MTTF grid of fault-injected simulations.
+def sweep(protocols: typing.Sequence[str],
+          mttfs: typing.Sequence[float] = DEFAULT_MTTFS,
+          mttr_ms: float = 5_000.0,
+          msg_loss_prob: float = 0.0,
+          mpl: int = 2,
+          params: ModelParams | None = None,
+          measured_transactions: int = 300,
+          timeouts: FaultTimeouts | None = None,
+          seed: int = 20250705) -> GridSweep:
+    """A protocol x MTTF grid of fault-injected simulations.
 
     Every grid point of one sweep shares ``seed``: the workload *and*
     the fault plan draws are reproducible, so two sweeps with the same
     arguments produce identical results (the determinism contract the
     fault tests pin).
     """
-
-    def __init__(self, protocols: typing.Sequence[str],
-                 mttfs: typing.Sequence[float] = DEFAULT_MTTFS,
-                 mttr_ms: float = 5_000.0,
-                 msg_loss_prob: float = 0.0,
-                 mpl: int = 2,
-                 params: ModelParams | None = None,
-                 measured_transactions: int = 300,
-                 timeouts: FaultTimeouts | None = None,
-                 seed: int = 20250705) -> None:
-        self.protocols = tuple(protocols)
-        self.mttfs = tuple(mttfs)
-        self.mttr_ms = mttr_ms
-        self.msg_loss_prob = msg_loss_prob
-        self.params = (params if params is not None
-                       else ModelParams()).replace(mpl=mpl)
-        self.measured_transactions = measured_transactions
-        self.timeouts = timeouts if timeouts is not None else FaultTimeouts()
-        self.seed = seed
-
-    def fault_config(self, mttf_ms: float) -> FaultConfig:
-        return FaultConfig(mttf_ms=mttf_ms, mttr_ms=self.mttr_ms,
-                           msg_loss_prob=self.msg_loss_prob,
-                           timeouts=self.timeouts)
-
-    def run_point(self, protocol: str, mttf_ms: float) -> AvailabilityPoint:
-        captured: list[DistributedSystem] = []
-        result = repro.simulate(
-            protocol, params=self.params,
-            measured_transactions=self.measured_transactions,
-            warmup_transactions=0, seed=self.seed,
-            on_system=captured.append,
-            faults=self.fault_config(mttf_ms))
-        injector = captured[0].faults
-        drops = dict(captured[0].network.drops_by_reason)
-        if injector is None:  # failure-free baseline point
-            return AvailabilityPoint(protocol, mttf_ms, result, 0, 0, 0, 0,
-                                     drops_by_reason=drops)
-        return AvailabilityPoint(
-            protocol, mttf_ms, result,
-            crashes=injector.crashes,
-            recoveries=injector.recoveries,
-            messages_dropped=injector.messages_dropped,
-            in_doubt_resolved=injector.in_doubt_resolved,
-            drops_by_reason=drops)
-
-    def run(self, progress: typing.Callable[[str], None] | None = None,
-            jobs: int = 1) -> AvailabilityResults:
-        """Run the grid; ``jobs > 1`` fans points out to the warm shared
-        process pool (each point is an independent simulation, so the
-        parallel results are byte-identical to a serial run)."""
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        grid = [(protocol, mttf) for protocol in self.protocols
-                for mttf in self.mttfs]
-        points: dict[tuple[str, float], AvailabilityPoint] = {}
-        if jobs == 1:
-            for protocol, mttf in grid:
-                if progress is not None:
-                    label = "inf" if mttf == 0 else f"{mttf / 1000:.0f}s"
-                    progress(f"availability: {protocol} @ MTTF {label}")
-                points[(protocol, mttf)] = self.run_point(protocol, mttf)
-            return AvailabilityResults(points, self.protocols, self.mttfs)
-        from repro.experiments.pool import get_pool
-        pool = get_pool(min(jobs, len(grid)))
-        futures = {key: pool.submit(_pool_run_point, self, *key)
-                   for key in grid}
-        for protocol, mttf in grid:
-            if progress is not None:
-                label = "inf" if mttf == 0 else f"{mttf / 1000:.0f}s"
-                progress(f"availability: {protocol} @ MTTF {label}")
-            points[(protocol, mttf)] = futures[(protocol, mttf)].result()
-        return AvailabilityResults(points, self.protocols, self.mttfs)
+    params = (params if params is not None else ModelParams()).replace(
+        mpl=mpl)
+    faults = FaultConfig(mttr_ms=mttr_ms, msg_loss_prob=msg_loss_prob,
+                         timeouts=(timeouts if timeouts is not None
+                                   else FaultTimeouts()))
+    return GridSweep(
+        (("protocol", protocols), ("mttf_ms", mttfs)),
+        configure=lambda protocol, mttf_ms: PointConfig(
+            protocol, params, measured_transactions, seed,
+            faults=dataclasses.replace(faults, mttf_ms=mttf_ms),
+            warmup_transactions=0),
+        point=_point, summary=_summary,
+        label=lambda protocol, mttf_ms: (
+            f"availability: {protocol} @ MTTF "
+            + ("inf" if mttf_ms == 0 else f"{mttf_ms / 1000:.0f}s")))
 
 
-def _pool_run_point(sweep: AvailabilitySweep, protocol: str,
-                    mttf_ms: float) -> AvailabilityPoint:
-    """Module-level so the process pool can pickle it."""
-    return sweep.run_point(protocol, mttf_ms)
+def _point(config: PointConfig, **_: typing.Any) -> Metrics:
+    captured: list[DistributedSystem] = []
+    result = config.simulate(on_system=captured.append)
+    injector = captured[0].faults  # None at the failure-free baseline
+    return {
+        "result": result,
+        "throughput": result.throughput,
+        "abort_ratio": result.abort_ratio,
+        "crashes": injector.crashes if injector else 0,
+        "recoveries": injector.recoveries if injector else 0,
+        "messages_dropped": injector.messages_dropped if injector else 0,
+        "in_doubt_resolved": injector.in_doubt_resolved if injector else 0,
+        # network drop split, e.g. {"site_down": 3, "injected_loss": 2};
+        # sums to the network layer's total drop count for the run.
+        "drops_by_reason": dict(captured[0].network.drops_by_reason),
+    }
+
+
+def _mttf_label(mttf_ms: float) -> str:
+    return "inf" if mttf_ms == 0 else f"{mttf_ms / 1000:.0f}"
+
+
+def _summary(results: GridResults) -> str:
+    lines = ["== availability: throughput vs site MTTF =="]
+    # rows are MTTFs (``inf`` for the failure-free baseline), one
+    # throughput column per protocol
+    lines.append(results.table(
+        "mttf_ms", "protocol", lambda point: f"{point['throughput']:.2f}",
+        corner="MTTF(s)", label_width=9, min_width=8, pad=1,
+        row_label=_mttf_label))
+    for protocol in results.values("protocol"):
+        split = results.total("drops_by_reason", protocol=protocol)
+        rendered = ", ".join(f"{reason}={count}"
+                             for reason, count in sorted(split.items()))
+        by_reason = f" ({rendered})" if rendered else ""
+        lines.append(
+            f"{protocol:>8}: "
+            f"{results.total('crashes', protocol=protocol)} crashes "
+            f"survived, "
+            f"{results.total('messages_dropped', protocol=protocol)} "
+            f"messages dropped{by_reason}, "
+            f"{results.total('in_doubt_resolved', protocol=protocol)} "
+            f"in-doubt transactions resolved")
+    return "\n".join(lines)

@@ -14,9 +14,9 @@ combined with a Student-t interval (:func:`repro.sim.stats.confidence_interval`)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
-import repro
 from repro.config import ModelParams
 from repro.db.system import SimulationResult
 from repro.experiments.runner import (
@@ -24,8 +24,14 @@ from repro.experiments.runner import (
     PointSpec,
     PointSummary,
     point_seed,
+    run_point_spec,
+    run_point_summary,
 )
 from repro.sim.stats import StoppingRule, confidence_interval
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.system import DistributedSystem
+    from repro.obs.export import JsonlExporter
 
 #: Replication cap in adaptive (``target_ci``) mode when the caller
 #: left ``replications`` at its fixed-mode default of 1.
@@ -156,6 +162,14 @@ class MplSweep:
         self.replications = replications
         self.base_seed = base_seed
 
+    def _spec(self, protocol: str, mpl: int, rep: int,
+              params: ModelParams) -> PointSpec:
+        return PointSpec(
+            protocol=protocol, mpl=mpl, rep=rep, params=params,
+            measured_transactions=self.measured_transactions,
+            warmup_transactions=self.warmup_transactions,
+            seed=point_seed(self.base_seed, rep))
+
     def run_point(self, protocol: str, mpl: int,
                   on_system: typing.Callable[..., None] | None = None,
                   ) -> SweepPoint:
@@ -166,33 +180,31 @@ class MplSweep:
         observers to the system's event bus.
         """
         params = self.params_factory(mpl)
-        results = []
-        for rep in range(self.replications):
-            results.append(repro.simulate(
-                protocol, params=params,
-                measured_transactions=self.measured_transactions,
-                warmup_transactions=self.warmup_transactions,
-                seed=point_seed(self.base_seed, rep),
-                on_system=(None if on_system is None else
-                           (lambda system, _rep=rep: on_system(
-                               system, protocol=protocol, mpl=mpl,
-                               rep=_rep)))))
-        return SweepPoint(protocol, mpl, results)
+        return SweepPoint(protocol, mpl, [
+            run_point_spec(
+                self._spec(protocol, mpl, rep, params),
+                on_system=None if on_system is None else functools.partial(
+                    on_system, protocol=protocol, mpl=mpl, rep=rep))
+            for rep in range(self.replications)])
 
     def point_specs(self) -> list[PointSpec]:
         """The whole grid as picklable specs, in (protocol, mpl, rep)
-        order -- the exact inputs (seeds included) the serial path uses."""
+        order -- the exact inputs (seeds included) every path runs."""
         specs = []
         for protocol in self.protocols:
             for mpl in self.mpls:
                 params = self.params_factory(mpl)
-                for rep in range(self.replications):
-                    specs.append(PointSpec(
-                        protocol=protocol, mpl=mpl, rep=rep, params=params,
-                        measured_transactions=self.measured_transactions,
-                        warmup_transactions=self.warmup_transactions,
-                        seed=point_seed(self.base_seed, rep)))
+                specs += [self._spec(protocol, mpl, rep, params)
+                          for rep in range(self.replications)]
         return specs
+
+    def _runner(self, experiment_id: str,
+                progress: typing.Callable[[str], None] | None,
+                jobs: int) -> ParallelSweepRunner:
+        return ParallelSweepRunner(
+            jobs=jobs,
+            progress=(None if progress is None else
+                      (lambda label: progress(f"{experiment_id}: {label}"))))
 
     def run(self, experiment_id: str = "sweep",
             title: str = "",
@@ -206,11 +218,13 @@ class MplSweep:
             ) -> ExperimentResults:
         """Run the whole grid.
 
-        ``jobs=1`` runs in-process (the historical path); ``jobs>1``
-        fans the grid out over that many processes of the warm shared
-        pool.  Results are identical either way -- each point's seed is
-        fixed by ``(base_seed, rep)``, not by execution order -- and
-        progress fires as each point *completes* on both paths.
+        Every path runs :meth:`point_specs` through
+        :class:`~repro.experiments.runner.ParallelSweepRunner`:
+        ``jobs=1`` in-process, ``jobs>1`` fanned out over that many
+        processes of the warm shared pool.  Results are identical either
+        way -- each point's seed is fixed by ``(base_seed, rep)``, not by
+        execution order -- and progress fires as each replication
+        *completes* on both paths.
 
         ``target_ci`` switches to adaptive replication: each point runs
         waves of replications (seeds continue the serial
@@ -220,10 +234,10 @@ class MplSweep:
         when ``replications`` was left at 1).  Adaptive results ship as
         lean :class:`PointSummary` objects.
 
-        ``lean`` ships compact summaries instead of full results on the
-        parallel fixed-rep path too (cheaper IPC for big grids; the
-        default keeps full results, which the golden byte-identity
-        contract pins).
+        ``lean`` returns compact summaries instead of full results on
+        the fixed-rep path too (cheaper IPC for big grids; the default
+        keeps full results, which the golden byte-identity contract
+        pins).
 
         ``events_out`` streams every simulation event of every point to
         a JSONL file (one ``{"meta": ...}`` line per point, then its
@@ -240,53 +254,27 @@ class MplSweep:
             return self._run_adaptive(experiment_id, title, progress,
                                       jobs, target_ci, ci_metric,
                                       ci_confidence)
-        grid_points = (len(self.protocols) * len(self.mpls)
-                       * self.replications)
-        total_txns = grid_points * self.measured_transactions
-        points: dict[tuple[str, int], SweepPoint] = {}
-        if jobs == 1:
-            exporter = None
-            on_system = None
-            if events_out is not None:
-                from repro.obs.export import JsonlExporter
-                exporter = JsonlExporter.open(events_out)
-
-                def on_system(system, protocol, mpl, rep,
-                              _exporter=exporter):
-                    _exporter.detach()
-                    _exporter.meta(experiment=experiment_id,
-                                   protocol=protocol, mpl=mpl, rep=rep,
-                                   seed=point_seed(self.base_seed, rep))
-                    _exporter.attach(system.bus)
-            try:
-                for protocol in self.protocols:
-                    for mpl in self.mpls:
-                        points[(protocol, mpl)] = self.run_point(
-                            protocol, mpl, on_system=on_system)
-                        if progress is not None:
-                            progress(
-                                f"{experiment_id}: {protocol} @ MPL {mpl}")
-            finally:
-                if exporter is not None:
-                    exporter.close()
-            return ExperimentResults(
-                experiment_id, title, points, self.protocols, self.mpls,
-                total_measured_transactions=total_txns)
-
         specs = self.point_specs()
-        runner = ParallelSweepRunner(
-            jobs=jobs,
-            progress=(None if progress is None else
-                      (lambda label: progress(f"{experiment_id}: {label}"))))
-        results = runner.run(specs, lean=lean)
+        fn = run_point_summary if lean else run_point_spec
+        exporter = None
+        if events_out is not None:
+            from repro.obs.export import JsonlExporter
+            exporter = JsonlExporter.open(events_out)
+            fn = functools.partial(_run_exported, exporter, experiment_id)
+        try:
+            results = self._runner(experiment_id, progress, jobs).run(
+                specs, fn)
+        finally:
+            if exporter is not None:
+                exporter.close()
+        points: dict[tuple[str, int], SweepPoint] = {}
         for spec, result in zip(specs, results):
-            key = (spec.protocol, spec.mpl)
-            if key not in points:
-                points[key] = SweepPoint(spec.protocol, spec.mpl, [])
-            points[key].results.append(result)
+            points.setdefault((spec.protocol, spec.mpl), SweepPoint(
+                spec.protocol, spec.mpl, [])).results.append(result)
         return ExperimentResults(
             experiment_id, title, points, self.protocols, self.mpls,
-            total_measured_transactions=total_txns)
+            total_measured_transactions=(len(specs)
+                                         * self.measured_transactions))
 
     # ------------------------------------------------------------------
     def _run_adaptive(self, experiment_id: str, title: str,
@@ -304,10 +292,7 @@ class MplSweep:
         metric_fn = METRICS[ci_metric]
         cap = (self.replications if self.replications > 1
                else DEFAULT_ADAPTIVE_CAP)
-        runner = ParallelSweepRunner(
-            jobs=jobs,
-            progress=(None if progress is None else
-                      (lambda label: progress(f"{experiment_id}: {label}"))))
+        runner = self._runner(experiment_id, progress, jobs)
         keys = [(protocol, mpl) for protocol in self.protocols
                 for mpl in self.mpls]
         params = {key: self.params_factory(key[1]) for key in keys}
@@ -324,15 +309,11 @@ class MplSweep:
             for key in keys:
                 for rep in range(reps_done[key],
                                  reps_done[key] + rules[key].next_wave()):
-                    wave.append(PointSpec(
-                        protocol=key[0], mpl=key[1], rep=rep,
-                        params=params[key],
-                        measured_transactions=self.measured_transactions,
-                        warmup_transactions=self.warmup_transactions,
-                        seed=point_seed(self.base_seed, rep)))
+                    wave.append(self._spec(*key, rep, params[key]))
             if not wave:
                 break
-            for spec, summary in zip(wave, runner.run(wave, lean=True)):
+            summaries = runner.run(wave, run_point_summary)
+            for spec, summary in zip(wave, summaries):
                 key = (spec.protocol, spec.mpl)
                 points[key].results.append(summary)
                 rules[key].observe(metric_fn(summary))
@@ -341,6 +322,18 @@ class MplSweep:
         return ExperimentResults(
             experiment_id, title, points, self.protocols, self.mpls,
             total_measured_transactions=total_txns, target_ci=target_ci)
+
+
+def _run_exported(exporter: "JsonlExporter", experiment_id: str,
+                  spec: PointSpec) -> SimulationResult:
+    """Run one spec with its events streamed to ``exporter``: one
+    ``{"meta": ...}`` line, then the replication's events."""
+    def attach(system: "DistributedSystem") -> None:
+        exporter.detach()
+        exporter.meta(experiment=experiment_id, protocol=spec.protocol,
+                      mpl=spec.mpl, rep=spec.rep, seed=spec.seed)
+        exporter.attach(system.bus)
+    return run_point_spec(spec, on_system=attach)
 
 
 @dataclasses.dataclass

@@ -30,6 +30,7 @@ import typing
 
 import repro
 from repro.config import ModelParams
+from repro.experiments.runner import ParallelSweepRunner, point_seed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,22 +94,31 @@ def measure_overheads(protocol: str, dist_degree: int, cohort_size: int,
     return OverheadRow(protocol, exec_msgs, forced, commit_msgs)
 
 
-def _measure_row(spec: tuple[str, int, int, int, int]) -> OverheadRow:
-    """Worker entry point for parallel table measurement (module-level
-    so it pickles by reference)."""
-    protocol, dist_degree, cohort_size, transactions, seed = spec
-    return measure_overheads(protocol, dist_degree, cohort_size,
-                             transactions=transactions, seed=seed)
+@dataclasses.dataclass(frozen=True)
+class _RowSpec:
+    """One measurement run of a table row (picklable)."""
+
+    protocol: str
+    dist_degree: int
+    cohort_size: int
+    transactions: int
+    seed: int
+
+    @property
+    def label(self) -> str:
+        return f"{self.protocol} @ DistDegree {self.dist_degree}"
 
 
-def _measure_rows(specs: list[tuple[str, int, int, int, int]],
-                  jobs: int) -> list[OverheadRow]:
+def _measure_row(spec: _RowSpec) -> OverheadRow:
+    """Runner entry point (module-level so it pickles by reference)."""
+    return measure_overheads(spec.protocol, spec.dist_degree,
+                             spec.cohort_size,
+                             transactions=spec.transactions, seed=spec.seed)
+
+
+def _measure_rows(specs: list[_RowSpec], jobs: int) -> list[OverheadRow]:
     """Run measurement specs, through the warm shared pool if asked."""
-    if jobs > 1 and len(specs) > 1:
-        from repro.experiments.pool import get_pool
-        pool = get_pool(min(jobs, len(specs)))
-        return list(pool.map(_measure_row, specs))
-    return [_measure_row(spec) for spec in specs]
+    return ParallelSweepRunner(jobs=jobs).run(specs, _measure_row)
 
 
 def build_table(dist_degree: int, cohort_size: int,
@@ -140,8 +150,8 @@ def build_table(dist_degree: int, cohort_size: int,
                         _measure_adaptive(list(protocols), dist_degree,
                                           cohort_size, transactions,
                                           jobs, target_ci)))
-    specs = [(protocol, dist_degree, cohort_size, transactions,
-              MEASURE_SEED)
+    specs = [_RowSpec(protocol, dist_degree, cohort_size, transactions,
+                      MEASURE_SEED)
              for protocol in protocols]
     return list(zip(expected_rows, _measure_rows(specs, jobs)))
 
@@ -150,7 +160,6 @@ def _measure_adaptive(protocols: list[str], dist_degree: int,
                       cohort_size: int, transactions: int, jobs: int,
                       target_ci: float) -> list[OverheadRow]:
     """CI-driven replication of the measured rows (mean per metric)."""
-    from repro.experiments.runner import point_seed
     from repro.sim.stats import StoppingRule
 
     def fresh_rules():
@@ -160,19 +169,20 @@ def _measure_adaptive(protocols: list[str], dist_degree: int,
     rules = {protocol: fresh_rules() for protocol in protocols}
     reps_done = dict.fromkeys(protocols, 0)
     while True:
-        wave: list[tuple[str, int, int, int, int]] = []
+        wave: list[_RowSpec] = []
         for protocol in protocols:
             pending = max(rule.next_wave() for rule in rules[protocol])
             for rep in range(reps_done[protocol],
                              reps_done[protocol] + pending):
-                wave.append((protocol, dist_degree, cohort_size,
-                             transactions, point_seed(MEASURE_SEED, rep)))
+                wave.append(_RowSpec(protocol, dist_degree, cohort_size,
+                                     transactions,
+                                     point_seed(MEASURE_SEED, rep)))
         if not wave:
             break
         for spec, row in zip(wave, _measure_rows(wave, jobs)):
-            for rule, value in zip(rules[spec[0]], row.as_tuple()):
+            for rule, value in zip(rules[spec.protocol], row.as_tuple()):
                 rule.observe(value)
-            reps_done[spec[0]] += 1
+            reps_done[spec.protocol] += 1
     return [OverheadRow(protocol, *(rule.interval()[0]
                                     for rule in rules[protocol]))
             for protocol in protocols]

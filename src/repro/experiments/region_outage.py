@@ -29,17 +29,17 @@ random numbers and differences isolate commit-path behaviour.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import typing
 
-import repro
 from repro.config import ModelParams
 from repro.db.topology import NetworkTopology, TopologyKind
+from repro.experiments.grid import GridResults, GridSweep, Metrics, PointConfig
 from repro.faults import FaultConfig, RegionPlan
 from repro.obs import EventKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.system import SimulationResult
+    from repro.db.system import DistributedSystem
 
 #: Outage shapes: lose a whole datacenter, or cut the link between two.
 DEFAULT_OUTAGES: tuple[str, ...] = ("dc_crash", "partition")
@@ -47,109 +47,16 @@ DEFAULT_OUTAGES: tuple[str, ...] = ("dc_crash", "partition")
 DEFAULT_DURATIONS: tuple[float, ...] = (2000.0, 4000.0)
 
 
-@dataclasses.dataclass
-class RegionOutagePoint:
-    """One (protocol, outage, duration) grid point."""
-
-    protocol: str
-    outage: str
-    duration_ms: float
-    result: "SimulationResult"
-    #: operational blocking (see FaultInjector.note_resolved).
-    blocked_lock_ms: float
-    in_doubt_resolved: int
-    dc_crashes: int
-    link_partitions: int
-    #: network drop split, e.g. {"site_down": 3, "partition": 7}.
-    drops_by_reason: dict[str, int]
-    #: commits landing inside / after the outage window.
-    commits_during: int
-    commits_after: int
-    #: ms from the heal instant to the first post-outage commit
-    #: (None when nothing committed after the heal).
-    recovery_ms: float | None
-
-    @property
-    def throughput_during(self) -> float:
-        """Committed tps carried while the outage was live."""
-        return self.commits_during / (self.duration_ms / 1000.0)
-
-
-@dataclasses.dataclass
-class RegionOutageResults:
-    """All points of one region-outage sweep, with rendering helpers."""
-
-    points: dict[tuple[str, str, float], RegionOutagePoint]
-    protocols: tuple[str, ...]
-    outages: tuple[str, ...]
-    durations: tuple[float, ...]
-    topology: str
-    at_ms: float
-
-    def point(self, protocol: str, outage: str,
-              duration: float) -> RegionOutagePoint:
-        return self.points[(protocol, outage, duration)]
-
-    def table(self, outage: str) -> str:
-        """Text table: rows are durations; blocked/tps-during/recovery
-        per protocol."""
-        width = max(24, max(len(p) for p in self.protocols) + 17)
-        header = f"{'outage for':>12} " + "".join(
-            f"{p + ' (blk/tps/rec)':>{width}}" for p in self.protocols)
-        lines = [f"-- outage: {outage} at t={self.at_ms:.0f}ms --",
-                 header, "-" * len(header)]
-        for duration in self.durations:
-            row = f"{duration:>10.0f}ms "
-            for protocol in self.protocols:
-                point = self.points[(protocol, outage, duration)]
-                recovery = ("-" if point.recovery_ms is None
-                            else f"{point.recovery_ms:.0f}ms")
-                cell = (f"{point.blocked_lock_ms:.0f}ms"
-                        f"/{point.throughput_during:.1f}"
-                        f"/{recovery}")
-                row += f"{cell:>{width}}"
-            lines.append(row)
-        return "\n".join(lines)
-
-    def drop_split(self, outage: str) -> dict[str, int]:
-        """Drop reasons summed over the grid for one outage shape."""
-        total: dict[str, int] = {}
-        for (_, point_outage, _), point in self.points.items():
-            if point_outage != outage:
-                continue
-            for reason, count in point.drops_by_reason.items():
-                total[reason] = total.get(reason, 0) + count
-        return total
-
-    def summary(self) -> str:
-        lines = [f"== region-outage: correlated failures over "
-                 f"{self.topology} =="]
-        for outage in self.outages:
-            lines.append(self.table(outage))
-            split = self.drop_split(outage)
-            rendered = ", ".join(f"{reason}={count}" for reason, count
-                                 in sorted(split.items())) or "none"
-            lines.append(f"   dropped messages by reason: {rendered}")
-        top = self.durations[-1]
-        for outage in self.outages:
-            ranked = sorted(
-                self.protocols,
-                key=lambda p: self.points[(p, outage, top)].blocked_lock_ms)
-            lines.append(f"at {outage} for {top:.0f}ms: least blocking "
-                         + " < ".join(ranked))
-        if "2PC" in self.protocols and "3PC" in self.protocols \
-                and "dc_crash" in self.outages:
-            blocking = self.points[("2PC", "dc_crash", top)].blocked_lock_ms
-            skeen = self.points[("3PC", "dc_crash", top)].blocked_lock_ms
-            lines.append(
-                f"coordinator-side DC loss ({top:.0f}ms): 2PC blocked "
-                f"{blocking:.0f}ms vs 3PC {skeen:.0f}ms -- the "
-                f"termination protocol is what non-blocking buys")
-        return "\n".join(lines)
-
-
-class RegionOutageSweep:
-    """Runs a protocol x outage x duration grid on a dcs topology.
+def sweep(protocols: typing.Sequence[str],
+          outages: typing.Sequence[str] = DEFAULT_OUTAGES,
+          durations_ms: typing.Sequence[float] = DEFAULT_DURATIONS,
+          topology: "str | NetworkTopology" = "dcs:2x2:rtt_ms=5",
+          mpl: int = 2,
+          at_ms: float = 1000.0,
+          params: ModelParams | None = None,
+          measured_transactions: int = 40,
+          seed: int = 7) -> GridSweep:
+    """An outage x protocol x duration grid on a dcs topology.
 
     Each point injects one scheduled outage at ``at_ms``: ``dc_crash``
     takes down datacenter 0 (the side hosting coordinators for roughly
@@ -158,105 +65,133 @@ class RegionOutageSweep:
     heals them together.  ``num_sites`` is derived from the topology, so
     ``dcs:2x2`` runs 4 sites and ``dcs:3x2`` runs 6.
     """
-
-    def __init__(self, protocols: typing.Sequence[str],
-                 outages: typing.Sequence[str] = DEFAULT_OUTAGES,
-                 durations_ms: typing.Sequence[float] = DEFAULT_DURATIONS,
-                 topology: str = "dcs:2x2:rtt_ms=5",
-                 mpl: int = 2,
-                 at_ms: float = 1000.0,
-                 params: ModelParams | None = None,
-                 measured_transactions: int = 40,
-                 seed: int = 7) -> None:
-        for outage in outages:
-            if outage not in DEFAULT_OUTAGES:
-                raise ValueError(
-                    f"unknown outage {outage!r}; expected one of "
-                    f"{', '.join(DEFAULT_OUTAGES)}")
-        if not durations_ms:
-            raise ValueError("durations_ms must be non-empty")
-        for duration in durations_ms:
-            if duration <= 0:
-                raise ValueError(
-                    f"outage durations must be positive, got {duration}")
-        self.topology = NetworkTopology.parse(topology) \
-            if isinstance(topology, str) else topology
-        if self.topology.kind is not TopologyKind.DCS:
+    for outage in outages:
+        if outage not in DEFAULT_OUTAGES:
             raise ValueError(
-                "region-outage needs a dcs:<D>x<S> topology (datacenter "
-                f"boundaries define the blast radius), got {topology!r}")
-        if self.topology.num_dcs < 2:
-            raise ValueError("region-outage needs at least 2 datacenters")
-        self.protocols = tuple(protocols)
-        self.outages = tuple(outages)
-        self.durations = tuple(float(d) for d in durations_ms)
-        self.mpl = mpl
-        self.at_ms = float(at_ms)
-        self.base_params = params if params is not None else ModelParams()
-        self.measured_transactions = measured_transactions
-        self.seed = seed
+                f"unknown outage {outage!r}; expected one of "
+                f"{', '.join(DEFAULT_OUTAGES)}")
+    if not durations_ms:
+        raise ValueError("durations_ms must be non-empty")
+    for duration in durations_ms:
+        if duration <= 0:
+            raise ValueError(
+                f"outage durations must be positive, got {duration}")
+    spec = outage_topology(topology, "region-outage",
+                           "datacenter boundaries define the blast radius")
+    at_ms = float(at_ms)
+    point_params = (params if params is not None else ModelParams()).replace(
+        num_sites=spec.num_dcs * spec.sites_per_dc, mpl=mpl,
+        network_topology=spec)
+    shapes = {"dc_crash": "dc_crash:0", "partition": "partition:0|1"}
+    return GridSweep(
+        (("outage", outages), ("protocol", protocols),
+         ("duration_ms", tuple(float(d) for d in durations_ms))),
+        configure=lambda outage, protocol, duration_ms: PointConfig(
+            protocol, point_params, measured_transactions, seed,
+            faults=FaultConfig(region=RegionPlan.parse(
+                f"{shapes[outage]}:at={at_ms}:for={duration_ms}"))),
+        point=functools.partial(outage_point, at_ms=at_ms),
+        summary=functools.partial(_summary, topology=spec.describe(),
+                                  at_ms=at_ms),
+        label=lambda outage, protocol, duration_ms: (
+            f"region-outage: {protocol} {outage} for {duration_ms:.0f}ms"))
 
-    @property
-    def num_sites(self) -> int:
-        return self.topology.num_dcs * self.topology.sites_per_dc
 
-    def plan_for(self, outage: str, duration_ms: float) -> RegionPlan:
-        if outage == "dc_crash":
-            spec = f"dc_crash:0:at={self.at_ms}:for={duration_ms}"
-        else:
-            spec = f"partition:0|1:at={self.at_ms}:for={duration_ms}"
-        return RegionPlan.parse(spec)
+def outage_topology(topology: "str | NetworkTopology", sweep_name: str,
+                    blast_radius: str) -> NetworkTopology:
+    """The multi-DC topology an outage sweep hits; ``blast_radius``
+    says what the datacenters mean to the sweep."""
+    spec = NetworkTopology.parse(topology) \
+        if isinstance(topology, str) else topology
+    if spec.kind is not TopologyKind.DCS:
+        raise ValueError(
+            f"{sweep_name} needs a dcs:<D>x<S> topology ({blast_radius}), "
+            f"got {topology!r}")
+    if spec.num_dcs < 2:
+        raise ValueError(f"{sweep_name} needs at least 2 datacenters")
+    return spec
 
-    def point_params(self) -> ModelParams:
-        return self.base_params.replace(
-            num_sites=self.num_sites,
-            mpl=self.mpl,
-            network_topology=self.topology)
 
-    def run_point(self, protocol: str, outage: str,
-                  duration_ms: float) -> RegionOutagePoint:
-        captured: list[repro.DistributedSystem] = []
-        commit_times: list[float] = []
+def outage_point(config: PointConfig, *, at_ms: float, duration_ms: float,
+                 **_: typing.Any) -> Metrics:
+    """Point function of the outage sweeps (this one and
+    :mod:`~repro.experiments.replication`): simulate ``config`` and
+    time its commits against the outage window
+    ``[at_ms, at_ms + duration_ms)``."""
+    captured: list[DistributedSystem] = []
+    commit_times: list[float] = []
 
-        def hook(system: repro.DistributedSystem) -> None:
-            captured.append(system)
-            system.bus.subscribe(
-                EventKind.TXN_COMMIT,
-                lambda event: commit_times.append(event.time))
+    def hook(system: "DistributedSystem") -> None:
+        captured.append(system)
+        system.bus.subscribe(
+            EventKind.TXN_COMMIT,
+            lambda event: commit_times.append(event.time))
 
-        config = FaultConfig(region=self.plan_for(outage, duration_ms))
-        result = repro.simulate(
-            protocol, params=self.point_params(),
-            measured_transactions=self.measured_transactions,
-            seed=self.seed, faults=config, on_system=hook)
-        system = captured[0]
-        faults = system.faults
-        assert faults is not None
-        heal = self.at_ms + duration_ms
-        during = sum(1 for t in commit_times if self.at_ms <= t < heal)
-        after = [t for t in commit_times if t >= heal]
-        return RegionOutagePoint(
-            protocol, outage, duration_ms, result,
-            blocked_lock_ms=faults.blocked_lock_ms,
-            in_doubt_resolved=faults.in_doubt_resolved,
-            dc_crashes=faults.dc_crashes,
-            link_partitions=faults.link_partitions,
-            drops_by_reason=dict(system.network.drops_by_reason),
-            commits_during=during,
-            commits_after=len(after),
-            recovery_ms=(min(after) - heal) if after else None)
+    result = config.simulate(on_system=hook)
+    system = captured[0]
+    faults = system.faults
+    assert faults is not None
+    heal = at_ms + duration_ms
+    during = sum(1 for t in commit_times if at_ms <= t < heal)
+    after = [t for t in commit_times if t >= heal]
+    return {
+        "result": result,
+        # operational blocking (see FaultInjector.note_resolved)
+        "blocked_lock_ms": faults.blocked_lock_ms,
+        "in_doubt_resolved": faults.in_doubt_resolved,
+        "dc_crashes": faults.dc_crashes,
+        "link_partitions": faults.link_partitions,
+        # network drop split, e.g. {"site_down": 3, "partition": 7}
+        "drops_by_reason": dict(system.network.drops_by_reason),
+        # replica propagations shipped / skipped (available copies)
+        "replica_updates_sent": system.replica_updates_sent,
+        "replica_writes_skipped": system.replica_writes_skipped,
+        # commits landing inside / after the outage window, and the
+        # committed tps carried while the outage was live
+        "commits_during": during,
+        "commits_after": len(after),
+        "throughput_during": during / (duration_ms / 1000.0),
+        # ms from the heal instant to the first post-outage commit
+        # (None when nothing committed after the heal)
+        "recovery_ms": (min(after) - heal) if after else None,
+    }
 
-    def run(self, progress: typing.Callable[[str], None] | None = None,
-            ) -> RegionOutageResults:
-        points: dict[tuple[str, str, float], RegionOutagePoint] = {}
-        for outage in self.outages:
-            for protocol in self.protocols:
-                for duration in self.durations:
-                    if progress is not None:
-                        progress(f"region-outage: {protocol} {outage} "
-                                 f"for {duration:.0f}ms")
-                    points[(protocol, outage, duration)] = self.run_point(
-                        protocol, outage, duration)
-        return RegionOutageResults(points, self.protocols, self.outages,
-                                   self.durations, self.topology.describe(),
-                                   self.at_ms)
+
+def _blk_tps_rec(point: Metrics) -> str:
+    recovery = ("-" if point["recovery_ms"] is None
+                else f"{point['recovery_ms']:.0f}ms")
+    return (f"{point['blocked_lock_ms']:.0f}ms"
+            f"/{point['throughput_during']:.1f}/{recovery}")
+
+
+def _summary(results: GridResults, *, topology: str, at_ms: float) -> str:
+    protocols = results.values("protocol")
+    outages = results.values("outage")
+    lines = [f"== region-outage: correlated failures over {topology} =="]
+    for outage in outages:
+        # rows are durations; blocked/tps-during/recovery per protocol
+        lines.append(results.table(
+            "duration_ms", "protocol", _blk_tps_rec,
+            corner="outage for", label_width=12, min_width=24, pad=17,
+            row_label=lambda duration: f"{duration:.0f}ms",
+            col_label=lambda protocol: f"{protocol} (blk/tps/rec)",
+            title=f"-- outage: {outage} at t={at_ms:.0f}ms --",
+            outage=outage))
+        split = results.total("drops_by_reason", outage=outage)
+        rendered = ", ".join(f"{reason}={count}" for reason, count
+                             in sorted(split.items())) or "none"
+        lines.append(f"   dropped messages by reason: {rendered}")
+    top = results.values("duration_ms")[-1]
+    for outage in outages:
+        ranked = results.ranked("blocked_lock_ms", along="protocol",
+                                outage=outage, duration_ms=top)
+        lines.append(f"at {outage} for {top:.0f}ms: least blocking "
+                     + " < ".join(ranked))
+    if {"2PC", "3PC"} <= set(protocols) and "dc_crash" in outages:
+        blocked = dict(results.series("blocked_lock_ms", along="protocol",
+                                      outage="dc_crash", duration_ms=top))
+        lines.append(
+            f"coordinator-side DC loss ({top:.0f}ms): 2PC blocked "
+            f"{blocked['2PC']:.0f}ms vs 3PC {blocked['3PC']:.0f}ms -- the "
+            f"termination protocol is what non-blocking buys")
+    return "\n".join(lines)

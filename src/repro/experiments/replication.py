@@ -17,18 +17,15 @@ common random numbers and differences isolate the commit path.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import typing
 
-import repro
 from repro.config import ModelParams
 from repro.db.pages import ReplicationSpec
-from repro.db.topology import NetworkTopology, TopologyKind
+from repro.db.topology import NetworkTopology
+from repro.experiments.grid import GridResults, GridSweep, PointConfig
+from repro.experiments.region_outage import outage_point, outage_topology
 from repro.faults import FaultConfig, RegionPlan
-from repro.obs import EventKind
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.system import SimulationResult
 
 DEFAULT_PROTOCOLS: tuple[str, ...] = ("2PC", "3PC", "PAXOS")
 
@@ -38,196 +35,83 @@ DEFAULT_FACTORS: tuple[int, ...] = (1, 2, 3)
 DEFAULT_MTTFS: tuple[float, ...] = (0.0, 60_000.0)
 
 
-@dataclasses.dataclass
-class ReplicationPoint:
-    """One (protocol, replication factor, MTTF) grid point."""
-
-    protocol: str
-    factor: int
-    mttf_ms: float
-    result: "SimulationResult"
-    blocked_lock_ms: float
-    in_doubt_resolved: int
-    #: replica propagations shipped / skipped (available copies).
-    replica_updates_sent: int
-    replica_writes_skipped: int
-    #: commits landing inside / after the outage window.
-    commits_during: int
-    commits_after: int
-    #: ms from the heal instant to the first post-outage commit.
-    recovery_ms: float | None
-    outage_ms: float
-
-    @property
-    def throughput_during(self) -> float:
-        """Committed tps carried while the DC outage was live."""
-        return self.commits_during / (self.outage_ms / 1000.0)
-
-
-@dataclasses.dataclass
-class ReplicationResults:
-    """All points of one replication sweep, with rendering helpers."""
-
-    points: dict[tuple[str, int, float], ReplicationPoint]
-    protocols: tuple[str, ...]
-    factors: tuple[int, ...]
-    mttfs: tuple[float, ...]
-    topology: str
-
-    def point(self, protocol: str, factor: int,
-              mttf: float) -> ReplicationPoint:
-        return self.points[(protocol, factor, mttf)]
-
-    def table(self, mttf: float) -> str:
-        """Text table: rows are replication factors, one cell of
-        blocked-ms / carried-tps-during-outage per protocol."""
-        width = max(20, max(len(p) for p in self.protocols) + 13)
-        header = f"{'replication':>12} " + "".join(
-            f"{p + ' (blk/tps)':>{width}}" for p in self.protocols)
-        label = "outage only" if mttf == 0 else f"MTTF {mttf:.0f}ms"
-        lines = [f"-- site faults: {label} --", header, "-" * len(header)]
-        for factor in self.factors:
-            row = f"{'R=' + str(factor):>12} "
-            for protocol in self.protocols:
-                point = self.points[(protocol, factor, mttf)]
-                cell = (f"{point.blocked_lock_ms:.0f}ms"
-                        f"/{point.throughput_during:.1f}")
-                row += f"{cell:>{width}}"
-            lines.append(row)
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        lines = [f"== replication: quorum commit over replicated pages "
-                 f"({self.topology}, DC 0 outage) =="]
-        for mttf in self.mttfs:
-            lines.append(self.table(mttf))
-        top_factor = self.factors[-1]
-        top_mttf = self.mttfs[-1]
-        ranked = sorted(
-            self.protocols,
-            key=lambda p: self.points[(p, top_factor,
-                                       top_mttf)].blocked_lock_ms)
-        lines.append(f"at R={top_factor}: least blocking "
-                     + " < ".join(ranked))
-        shipped = sum(p.replica_updates_sent for p in self.points.values())
-        skipped = sum(p.replica_writes_skipped
-                      for p in self.points.values())
-        lines.append(f"replica propagations: {shipped} shipped, "
-                     f"{skipped} skipped (available copies)")
-        return "\n".join(lines)
-
-
-class ReplicationSweep:
-    """Runs a protocol x replication-factor x MTTF grid under a DC
-    outage on a multi-datacenter topology.
+def sweep(protocols: typing.Sequence[str] = DEFAULT_PROTOCOLS,
+          factors: typing.Sequence[int] = DEFAULT_FACTORS,
+          mttfs: typing.Sequence[float] = DEFAULT_MTTFS,
+          topology: "str | NetworkTopology" = "dcs:2x2:rtt_ms=5",
+          mpl: int = 2,
+          at_ms: float = 1000.0,
+          outage_ms: float = 1500.0,
+          mttr_ms: float = 2000.0,
+          params: ModelParams | None = None,
+          measured_transactions: int = 40,
+          seed: int = 7) -> GridSweep:
+    """An MTTF x replication-factor x protocol grid under a DC outage on
+    a multi-datacenter topology.
 
     Every point injects one scheduled ``dc_crash`` of datacenter 0 at
     ``at_ms`` for ``outage_ms``; MTTF values above zero add independent
     per-site crashes on top of the correlated loss.  ``num_sites``
     derives from the topology; the replication factor is capped by it.
     """
+    spec = outage_topology(topology, "replication sweep",
+                           "the DC outage defines the blast radius")
+    num_sites = spec.num_dcs * spec.sites_per_dc
+    if not factors:
+        raise ValueError("factors must be non-empty")
+    for factor in factors:
+        ReplicationSpec(factor).validate(num_sites)
+    if not mttfs:
+        raise ValueError("mttfs must be non-empty")
+    for mttf in mttfs:
+        if mttf < 0:
+            raise ValueError(f"MTTF must be >= 0, got {mttf}")
+    if outage_ms <= 0:
+        raise ValueError(
+            f"outage duration must be positive, got {outage_ms}")
+    at_ms, outage_ms = float(at_ms), float(outage_ms)
+    point_params = (params if params is not None else ModelParams()).replace(
+        num_sites=num_sites, mpl=mpl, network_topology=spec)
+    plan = RegionPlan.parse(f"dc_crash:0:at={at_ms}:for={outage_ms}")
+    return GridSweep(
+        (("mttf_ms", tuple(float(m) for m in mttfs)),
+         ("factor", tuple(int(f) for f in factors)),
+         ("protocol", protocols)),
+        configure=lambda mttf_ms, factor, protocol: PointConfig(
+            protocol, point_params.replace(
+                replication=ReplicationSpec(factor) if factor > 1 else None),
+            measured_transactions, seed,
+            faults=FaultConfig(mttf_ms=mttf_ms, mttr_ms=float(mttr_ms),
+                               region=plan)),
+        point=functools.partial(outage_point, at_ms=at_ms,
+                                duration_ms=outage_ms),
+        summary=functools.partial(_summary, topology=spec.describe()),
+        label=lambda mttf_ms, factor, protocol: (
+            f"replication: {protocol} R={factor} mttf={mttf_ms:.0f}ms"))
 
-    def __init__(self, protocols: typing.Sequence[str] = DEFAULT_PROTOCOLS,
-                 factors: typing.Sequence[int] = DEFAULT_FACTORS,
-                 mttfs: typing.Sequence[float] = DEFAULT_MTTFS,
-                 topology: str = "dcs:2x2:rtt_ms=5",
-                 mpl: int = 2,
-                 at_ms: float = 1000.0,
-                 outage_ms: float = 1500.0,
-                 mttr_ms: float = 2000.0,
-                 params: ModelParams | None = None,
-                 measured_transactions: int = 40,
-                 seed: int = 7) -> None:
-        self.topology = NetworkTopology.parse(topology) \
-            if isinstance(topology, str) else topology
-        if self.topology.kind is not TopologyKind.DCS:
-            raise ValueError(
-                "replication sweep needs a dcs:<D>x<S> topology (the DC "
-                f"outage defines the blast radius), got {topology!r}")
-        if self.topology.num_dcs < 2:
-            raise ValueError(
-                "replication sweep needs at least 2 datacenters")
-        if not factors:
-            raise ValueError("factors must be non-empty")
-        for factor in factors:
-            ReplicationSpec(factor).validate(self.num_sites)
-        if not mttfs:
-            raise ValueError("mttfs must be non-empty")
-        for mttf in mttfs:
-            if mttf < 0:
-                raise ValueError(f"MTTF must be >= 0, got {mttf}")
-        if outage_ms <= 0:
-            raise ValueError(
-                f"outage duration must be positive, got {outage_ms}")
-        self.protocols = tuple(protocols)
-        self.factors = tuple(int(f) for f in factors)
-        self.mttfs = tuple(float(m) for m in mttfs)
-        self.mpl = mpl
-        self.at_ms = float(at_ms)
-        self.outage_ms = float(outage_ms)
-        self.mttr_ms = float(mttr_ms)
-        self.base_params = params if params is not None else ModelParams()
-        self.measured_transactions = measured_transactions
-        self.seed = seed
 
-    @property
-    def num_sites(self) -> int:
-        return self.topology.num_dcs * self.topology.sites_per_dc
-
-    def point_params(self, factor: int) -> ModelParams:
-        return self.base_params.replace(
-            num_sites=self.num_sites,
-            mpl=self.mpl,
-            network_topology=self.topology,
-            replication=ReplicationSpec(factor) if factor > 1 else None)
-
-    def fault_config(self, mttf: float) -> FaultConfig:
-        plan = RegionPlan.parse(
-            f"dc_crash:0:at={self.at_ms}:for={self.outage_ms}")
-        return FaultConfig(mttf_ms=mttf, mttr_ms=self.mttr_ms, region=plan)
-
-    def run_point(self, protocol: str, factor: int,
-                  mttf: float) -> ReplicationPoint:
-        captured: list[repro.DistributedSystem] = []
-        commit_times: list[float] = []
-
-        def hook(system: repro.DistributedSystem) -> None:
-            captured.append(system)
-            system.bus.subscribe(
-                EventKind.TXN_COMMIT,
-                lambda event: commit_times.append(event.time))
-
-        result = repro.simulate(
-            protocol, params=self.point_params(factor),
-            measured_transactions=self.measured_transactions,
-            seed=self.seed, faults=self.fault_config(mttf), on_system=hook)
-        system = captured[0]
-        faults = system.faults
-        assert faults is not None
-        heal = self.at_ms + self.outage_ms
-        during = sum(1 for t in commit_times if self.at_ms <= t < heal)
-        after = [t for t in commit_times if t >= heal]
-        return ReplicationPoint(
-            protocol, factor, mttf, result,
-            blocked_lock_ms=faults.blocked_lock_ms,
-            in_doubt_resolved=faults.in_doubt_resolved,
-            replica_updates_sent=system.replica_updates_sent,
-            replica_writes_skipped=system.replica_writes_skipped,
-            commits_during=during,
-            commits_after=len(after),
-            recovery_ms=(min(after) - heal) if after else None,
-            outage_ms=self.outage_ms)
-
-    def run(self, progress: typing.Callable[[str], None] | None = None,
-            ) -> ReplicationResults:
-        points: dict[tuple[str, int, float], ReplicationPoint] = {}
-        for mttf in self.mttfs:
-            for factor in self.factors:
-                for protocol in self.protocols:
-                    if progress is not None:
-                        progress(f"replication: {protocol} R={factor} "
-                                 f"mttf={mttf:.0f}ms")
-                    points[(protocol, factor, mttf)] = self.run_point(
-                        protocol, factor, mttf)
-        return ReplicationResults(points, self.protocols, self.factors,
-                                  self.mttfs, self.topology.describe())
+def _summary(results: GridResults, *, topology: str) -> str:
+    lines = [f"== replication: quorum commit over replicated pages "
+             f"({topology}, DC 0 outage) =="]
+    for mttf in results.values("mttf_ms"):
+        # rows are replication factors, one cell of blocked-ms /
+        # carried-tps-during-outage per protocol
+        label = "outage only" if mttf == 0 else f"MTTF {mttf:.0f}ms"
+        lines.append(results.table(
+            "factor", "protocol",
+            lambda point: (f"{point['blocked_lock_ms']:.0f}ms"
+                           f"/{point['throughput_during']:.1f}"),
+            corner="replication", label_width=12, min_width=20, pad=13,
+            row_label=lambda factor: f"R={factor}",
+            col_label=lambda protocol: f"{protocol} (blk/tps)",
+            title=f"-- site faults: {label} --", mttf_ms=mttf))
+    top_factor = results.values("factor")[-1]
+    top_mttf = results.values("mttf_ms")[-1]
+    ranked = results.ranked("blocked_lock_ms", along="protocol",
+                            factor=top_factor, mttf_ms=top_mttf)
+    lines.append(f"at R={top_factor}: least blocking " + " < ".join(ranked))
+    lines.append(f"replica propagations: "
+                 f"{results.total('replica_updates_sent')} shipped, "
+                 f"{results.total('replica_writes_skipped')} skipped "
+                 f"(available copies)")
+    return "\n".join(lines)

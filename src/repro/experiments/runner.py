@@ -15,13 +15,21 @@ used (``base_seed + rep * 7919``), the worker runs the same
 ``repro.simulate`` call, and results are reassembled in grid order --
 so a parallel sweep is bit-identical to a serial one.
 
+Any spec works: the runner needs only a picklable spec with a
+``.label`` and a module-level function to run it (``fn``).  The
+paper's grids ship :class:`PointSpec` (the default ``fn``,
+:func:`run_point_spec`); the extension sweeps ship
+:class:`~repro.experiments.grid.GridSweep` points and the overhead
+tables their measurement rows, all through the same chunked,
+failure-contained path.
+
 Wire format: by default workers ship the full
 :class:`~repro.db.system.SimulationResult` back (it is a flat dataclass
 of scalars, and the golden byte-identity contract pins every field).
 Callers that only consume the plotted scalars -- big grids, adaptive
-replication -- pass ``lean=True`` and get :class:`PointSummary`
-objects, which duck-type the metric attributes the experiment layer
-reads and keep the return pipe minimal.
+replication -- run :func:`run_point_summary` instead and get
+:class:`PointSummary` objects, which duck-type the metric attributes
+the experiment layer reads and keep the return pipe minimal.
 
 The pool is only worth its IPC overhead for real sweeps; ``jobs=1``
 (the default everywhere) never touches the pool module and runs the
@@ -163,20 +171,33 @@ def point_seed(base_seed: int, rep: int) -> int:
     return base_seed + rep * REPLICATION_SEED_STRIDE
 
 
-def run_point_spec(spec: PointSpec) -> SimulationResult:
-    """Execute one spec (shared by the serial path and the workers)."""
+def run_point_spec(spec: PointSpec,
+                   on_system: typing.Callable[..., None] | None = None,
+                   ) -> SimulationResult:
+    """Execute one spec (shared by the serial path and the workers);
+    ``on_system`` is :func:`repro.simulate`'s observer hook."""
     import repro  # local import: keeps worker startup lazy
 
     return repro.simulate(
         spec.protocol, params=spec.params,
         measured_transactions=spec.measured_transactions,
         warmup_transactions=spec.warmup_transactions,
-        seed=spec.seed)
+        seed=spec.seed, on_system=on_system)
 
 
-def run_chunk(chunk: typing.Sequence[PointSpec], lean: bool
+def run_point_summary(spec: PointSpec) -> PointSummary:
+    """Execute one spec and keep only the lean wire format."""
+    return PointSummary.from_result(spec, run_point_spec(spec))
+
+
+#: Runs one spec; module-level so it pickles by reference.
+SpecFn = typing.Callable[[typing.Any], typing.Any]
+
+
+def run_chunk(chunk: typing.Sequence[typing.Any], fn: SpecFn
               ) -> list[object]:
-    """Worker entry point: run a whole chunk, one IPC round per chunk.
+    """Worker entry point: run ``fn`` over a whole chunk, one IPC round
+    per chunk.
 
     Must stay module-level so it pickles by reference.  Exceptions are
     caught per spec and returned as :class:`_SpecFailure` data -- the
@@ -186,9 +207,7 @@ def run_chunk(chunk: typing.Sequence[PointSpec], lean: bool
     out: list[object] = []
     for spec in chunk:
         try:
-            result = run_point_spec(spec)
-            out.append(PointSummary.from_result(spec, result) if lean
-                       else result)
+            out.append(fn(spec))
         except Exception as exc:  # noqa: BLE001 - report, don't die
             import pickle
             carried: BaseException | None = exc
@@ -239,7 +258,12 @@ def resolve_jobs(jobs: int | None, *, allow_all_cores: bool = True) -> int:
 
 
 class ParallelSweepRunner:
-    """Runs a list of :class:`PointSpec` over the warm shared pool.
+    """Runs a list of specs over the warm shared pool.
+
+    A spec is any picklable object with a ``.label``; ``fn`` (a
+    module-level function, default :func:`run_point_spec`) turns one
+    spec into its result, in-process on the serial path and inside a
+    worker on the parallel one.
 
     Results come back in *spec order* regardless of completion order, so
     callers can zip them against their grid.  Progress callbacks fire
@@ -260,14 +284,16 @@ class ParallelSweepRunner:
         self.chunksize = chunksize
         self.counts = counts
 
-    def run(self, specs: typing.Sequence[PointSpec], *,
-            lean: bool = False) -> list[SimulationResult | PointSummary]:
+    def run(self, specs: typing.Sequence[typing.Any],
+            fn: SpecFn | None = None) -> list[typing.Any]:
+        if fn is None:
+            fn = run_point_spec
         if self.jobs == 1 or len(specs) <= 1:
-            return self._run_serial(specs, lean)
-        return self._run_parallel(specs, lean)
+            return self._run_serial(specs, fn)
+        return self._run_parallel(specs, fn)
 
     # ------------------------------------------------------------------
-    def _emit(self, spec: PointSpec, done: int, total: int,
+    def _emit(self, spec: typing.Any, done: int, total: int,
               running: int) -> None:
         """Completion-time progress + counts for one finished point."""
         if self.progress is not None:
@@ -278,19 +304,17 @@ class ParallelSweepRunner:
                                     running=running, done=done,
                                     total=total))
 
-    def _run_serial(self, specs: typing.Sequence[PointSpec], lean: bool
-                    ) -> list[SimulationResult | PointSummary]:
-        results: list[SimulationResult | PointSummary] = []
+    def _run_serial(self, specs: typing.Sequence[typing.Any], fn: SpecFn
+                    ) -> list[typing.Any]:
+        results = []
         total = len(specs)
         for index, spec in enumerate(specs):
-            result = run_point_spec(spec)
-            results.append(PointSummary.from_result(spec, result) if lean
-                           else result)
+            results.append(fn(spec))
             self._emit(spec, index + 1, total, running=1)
         return results
 
-    def _run_parallel(self, specs: typing.Sequence[PointSpec], lean: bool
-                      ) -> list[SimulationResult | PointSummary]:
+    def _run_parallel(self, specs: typing.Sequence[typing.Any], fn: SpecFn
+                      ) -> list[typing.Any]:
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -301,11 +325,10 @@ class ParallelSweepRunner:
         chunksize = (self.chunksize if self.chunksize is not None
                      else default_chunksize(total, workers))
         pool = get_pool(workers)
-        results: list[SimulationResult | PointSummary | None] = \
-            [None] * total
+        results: list[typing.Any] = [None] * total
         chunks = [(start, specs[start:start + chunksize])
                   for start in range(0, total, chunksize)]
-        futures = {pool.submit(run_chunk, chunk, lean): (start, chunk)
+        futures = {pool.submit(run_chunk, chunk, fn): (start, chunk)
                    for start, chunk in chunks}
         done = 0
         window = workers * chunksize
@@ -337,5 +360,4 @@ class ParallelSweepRunner:
             if done < total:
                 for future in futures:
                     future.cancel()
-        return typing.cast(
-            "list[SimulationResult | PointSummary]", results)
+        return results

@@ -21,11 +21,10 @@ curves separate exactly where the paper's MPL sweeps predict.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
-import repro
-from repro.config import ModelParams, open_system
+from repro.config import ModelParams, WorkloadMode
+from repro.experiments.grid import GridResults, GridSweep, Metrics, PointConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.system import OpenSimulationResult
@@ -38,132 +37,62 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_RATES: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 
 
-@dataclasses.dataclass
-class SaturationPoint:
-    """One (protocol, arrival rate) grid point."""
-
-    protocol: str
-    arrival_rate_tps: float
-    result: "OpenSimulationResult"
-
-    @property
-    def carried(self) -> float:
-        return self.result.throughput
-
-    @property
-    def shed_ratio(self) -> float:
-        return self.result.shed_ratio
-
-    @property
-    def p95_ms(self) -> float:
-        return self.result.response_p95_ms
-
-
-@dataclasses.dataclass
-class SaturationResults:
-    """All points of one saturation sweep, with rendering helpers."""
-
-    points: dict[tuple[str, float], SaturationPoint]
-    protocols: tuple[str, ...]
-    rates: tuple[float, ...]
-
-    def point(self, protocol: str, rate: float) -> SaturationPoint:
-        return self.points[(protocol, rate)]
-
-    def series(self, protocol: str) -> list[tuple[float, float]]:
-        """[(arrival_rate_tps, carried_tps), ...] for one protocol."""
-        return [(rate, self.points[(protocol, rate)].carried)
-                for rate in self.rates]
-
-    def table(self, precision: int = 2) -> str:
-        """Text table: rows are rates; carried/shed/p95 per protocol."""
-        width = max(20, max(len(p) for p in self.protocols) + 13)
-        header = f"{'rate/site':>10} " + "".join(
-            f"{p + ' (car/shed/p95)':>{width}}" for p in self.protocols)
-        lines = [header, "-" * len(header)]
-        for rate in self.rates:
-            row = f"{rate:>10.2f} "
-            for protocol in self.protocols:
-                point = self.points[(protocol, rate)]
-                cell = (f"{point.carried:.{precision}f}"
-                        f"/{point.shed_ratio:.2f}"
-                        f"/{point.p95_ms:.0f}ms")
-                row += f"{cell:>{width}}"
-            lines.append(row)
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        lines = ["== saturation: carried load vs offered load "
-                 "(per-site txns/s) =="]
-        lines.append(self.table())
-        for protocol in self.protocols:
-            knee = next((rate for rate in self.rates
-                         if self.points[(protocol, rate)].shed_ratio > 0.01),
-                        None)
-            if knee is None:
-                lines.append(f"{protocol:>8}: no shedding up to "
-                             f"{self.rates[-1]:.2f} txns/s/site")
-            else:
-                lines.append(f"{protocol:>8}: sheds load from "
-                             f"{knee:.2f} txns/s/site")
-        return "\n".join(lines)
-
-
-class SaturationSweep:
-    """Runs a protocol x arrival-rate grid of open-system simulations.
+def sweep(protocols: typing.Sequence[str],
+          rates: typing.Sequence[float] = DEFAULT_RATES,
+          mpl: int = 8,
+          skew: "AccessSkew | None" = None,
+          queue_limit: int = 64,
+          params: ModelParams | None = None,
+          measured_transactions: int = 300,
+          seed: int = 20250705) -> GridSweep:
+    """A protocol x arrival-rate grid of open-system simulations.
 
     Every grid point of one sweep shares ``seed``: arrival timing and
     workload shape are drawn from the same substreams everywhere, so the
     protocols face literally the same offered load (common random
     numbers) and two sweeps with the same arguments are identical.
     """
+    if not rates:
+        raise ValueError("rates must be non-empty")
+    base = params if params is not None else ModelParams()
+    return GridSweep(
+        (("protocol", protocols), ("rate", rates)),
+        configure=lambda protocol, rate: PointConfig(
+            protocol, base.replace(
+                workload_mode=WorkloadMode.OPEN, arrival_rate_tps=rate,
+                admission_queue_limit=queue_limit, skew=skew, mpl=mpl),
+            measured_transactions, seed),
+        point=_point, summary=_summary,
+        label=lambda protocol, rate: (
+            f"saturation: {protocol} @ {rate:.2f} txns/s/site"))
 
-    def __init__(self, protocols: typing.Sequence[str],
-                 rates: typing.Sequence[float] = DEFAULT_RATES,
-                 mpl: int = 8,
-                 skew: "AccessSkew | None" = None,
-                 queue_limit: int = 64,
-                 params: ModelParams | None = None,
-                 measured_transactions: int = 300,
-                 seed: int = 20250705) -> None:
-        if not rates:
-            raise ValueError("rates must be non-empty")
-        self.protocols = tuple(protocols)
-        self.rates = tuple(rates)
-        self.skew = skew
-        self.queue_limit = queue_limit
-        self.base_params = params
-        self.mpl = mpl
-        self.measured_transactions = measured_transactions
-        self.seed = seed
 
-    def point_params(self, rate: float) -> ModelParams:
-        if self.base_params is not None:
-            return self.base_params.replace(
-                workload_mode=repro.WorkloadMode.OPEN,
-                arrival_rate_tps=rate,
-                admission_queue_limit=self.queue_limit,
-                skew=self.skew,
-                mpl=self.mpl)
-        return open_system(arrival_rate_tps=rate, skew=self.skew,
-                           admission_queue_limit=self.queue_limit,
-                           mpl=self.mpl)
+def _point(config: PointConfig, **_: typing.Any) -> Metrics:
+    result = typing.cast("OpenSimulationResult", config.simulate())
+    return {"result": result, "carried": result.throughput,
+            "shed_ratio": result.shed_ratio,
+            "p95_ms": result.response_p95_ms}
 
-    def run_point(self, protocol: str, rate: float) -> SaturationPoint:
-        result = repro.simulate(
-            protocol, params=self.point_params(rate),
-            measured_transactions=self.measured_transactions,
-            seed=self.seed)
-        return SaturationPoint(protocol, rate,
-                               typing.cast("OpenSimulationResult", result))
 
-    def run(self, progress: typing.Callable[[str], None] | None = None,
-            ) -> SaturationResults:
-        points: dict[tuple[str, float], SaturationPoint] = {}
-        for protocol in self.protocols:
-            for rate in self.rates:
-                if progress is not None:
-                    progress(f"saturation: {protocol} @ "
-                             f"{rate:.2f} txns/s/site")
-                points[(protocol, rate)] = self.run_point(protocol, rate)
-        return SaturationResults(points, self.protocols, self.rates)
+def _summary(results: GridResults) -> str:
+    rates = results.values("rate")
+    lines = ["== saturation: carried load vs offered load "
+             "(per-site txns/s) =="]
+    # rows are rates; carried/shed/p95 per protocol
+    lines.append(results.table(
+        "rate", "protocol",
+        lambda point: (f"{point['carried']:.2f}/{point['shed_ratio']:.2f}"
+                       f"/{point['p95_ms']:.0f}ms"),
+        corner="rate/site", label_width=10, min_width=20, pad=13,
+        row_label=lambda rate: f"{rate:.2f}",
+        col_label=lambda protocol: f"{protocol} (car/shed/p95)"))
+    for protocol in results.values("protocol"):
+        knee = next((rate for rate in rates if results.point(
+            protocol=protocol, rate=rate)["shed_ratio"] > 0.01), None)
+        if knee is None:
+            lines.append(f"{protocol:>8}: no shedding up to "
+                         f"{rates[-1]:.2f} txns/s/site")
+        else:
+            lines.append(f"{protocol:>8}: sheds load from "
+                         f"{knee:.2f} txns/s/site")
+    return "\n".join(lines)

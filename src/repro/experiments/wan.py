@@ -26,15 +26,14 @@ Placements: ``spread`` picks cohort sites uniformly (the paper's rule);
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
-import repro
 from repro.config import ModelParams
 from repro.db.topology import NetworkTopology, TopologyKind
+from repro.experiments.grid import GridResults, GridSweep, Metrics, PointConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.system import SimulationResult
+    from repro.db.system import DistributedSystem
 
 #: Cross-DC round-trip times (ms) from "same metro" to
 #: "cross-continent"; 0 isolates the placement/accounting machinery.
@@ -43,83 +42,15 @@ DEFAULT_RTTS: tuple[float, ...] = (0.0, 10.0, 40.0, 100.0)
 DEFAULT_PLACEMENTS: tuple[str, ...] = ("spread", "local")
 
 
-@dataclasses.dataclass
-class WanPoint:
-    """One (protocol, rtt, placement) grid point."""
-
-    protocol: str
-    rtt_ms: float
-    placement: str
-    result: "SimulationResult"
-    #: remote-message split observed by the network layer (whole run).
-    cross_dc_messages: int
-    intra_dc_messages: int
-    #: per-committed-transaction round trips from the metrics layer
-    #: (measured period only).
-    cross_dc_round_trips_per_commit: float
-
-    @property
-    def response_ms(self) -> float:
-        return self.result.response_time_ms
-
-    @property
-    def throughput(self) -> float:
-        return self.result.throughput
-
-
-@dataclasses.dataclass
-class WanResults:
-    """All points of one WAN sweep, with rendering helpers."""
-
-    points: dict[tuple[str, float, str], WanPoint]
-    protocols: tuple[str, ...]
-    rtts: tuple[float, ...]
-    placements: tuple[str, ...]
-
-    def point(self, protocol: str, rtt: float, placement: str) -> WanPoint:
-        return self.points[(protocol, rtt, placement)]
-
-    def series(self, protocol: str,
-               placement: str) -> list[tuple[float, float]]:
-        """[(rtt_ms, response_ms), ...] for one protocol/placement."""
-        return [(rtt, self.points[(protocol, rtt, placement)].response_ms)
-                for rtt in self.rtts]
-
-    def table(self, placement: str, precision: int = 0) -> str:
-        """Text table: rows are RTTs; resp/xdc-rt per protocol."""
-        width = max(18, max(len(p) for p in self.protocols) + 11)
-        header = f"{'rtt':>8} " + "".join(
-            f"{p + ' (resp/xdc-rt)':>{width}}" for p in self.protocols)
-        lines = [f"-- placement: {placement} --", header,
-                 "-" * len(header)]
-        for rtt in self.rtts:
-            row = f"{rtt:>6.0f}ms "
-            for protocol in self.protocols:
-                point = self.points[(protocol, rtt, placement)]
-                cell = (f"{point.response_ms:.{precision}f}ms"
-                        f"/{point.cross_dc_round_trips_per_commit:.1f}")
-                row += f"{cell:>{width}}"
-            lines.append(row)
-        return "\n".join(lines)
-
-    def summary(self) -> str:
-        lines = ["== wan: commit latency vs cross-DC round-trip time =="]
-        for placement in self.placements:
-            lines.append(self.table(placement))
-        top_rtt = self.rtts[-1]
-        for placement in self.placements:
-            ranked = sorted(
-                self.protocols,
-                key=lambda p: self.points[(p, top_rtt,
-                                           placement)].response_ms)
-            lines.append(
-                f"at rtt={top_rtt:.0f}ms, {placement}: fastest commit "
-                + " < ".join(ranked))
-        return "\n".join(lines)
-
-
-class WanSweep:
-    """Runs a protocol x RTT x placement grid over a multi-DC topology.
+def sweep(protocols: typing.Sequence[str],
+          rtts_ms: typing.Sequence[float] = DEFAULT_RTTS,
+          placements: typing.Sequence[str] = DEFAULT_PLACEMENTS,
+          num_dcs: int = 2,
+          mpl: int = 2,
+          params: ModelParams | None = None,
+          measured_transactions: int = 300,
+          seed: int = 20250705) -> GridSweep:
+    """A placement x protocol x RTT grid over a multi-DC topology.
 
     Every grid point shares ``seed``: workload shape comes from the same
     substreams everywhere, so protocols face common random numbers and
@@ -127,73 +58,78 @@ class WanSweep:
     ``num_dcs`` datacenters of ``num_sites / num_dcs`` sites each
     (``dcs:DxS:rtt_ms=<rtt>``), closed mode at the given ``mpl``.
     """
-
-    def __init__(self, protocols: typing.Sequence[str],
-                 rtts_ms: typing.Sequence[float] = DEFAULT_RTTS,
-                 placements: typing.Sequence[str] = DEFAULT_PLACEMENTS,
-                 num_dcs: int = 2,
-                 mpl: int = 2,
-                 params: ModelParams | None = None,
-                 measured_transactions: int = 300,
-                 seed: int = 20250705) -> None:
-        if not rtts_ms:
-            raise ValueError("rtts_ms must be non-empty")
-        for placement in placements:
-            if placement not in ("spread", "local"):
-                raise ValueError(
-                    f"unknown placement {placement!r}; expected "
-                    f"'spread' or 'local'")
-        self.protocols = tuple(protocols)
-        self.rtts = tuple(float(rtt) for rtt in rtts_ms)
-        self.placements = tuple(placements)
-        self.num_dcs = num_dcs
-        self.mpl = mpl
-        self.base_params = params if params is not None else ModelParams()
-        if self.base_params.num_sites % num_dcs:
+    if not rtts_ms:
+        raise ValueError("rtts_ms must be non-empty")
+    for placement in placements:
+        if placement not in ("spread", "local"):
             raise ValueError(
-                f"num_sites={self.base_params.num_sites} does not split "
-                f"into {num_dcs} equal datacenters")
-        self.measured_transactions = measured_transactions
-        self.seed = seed
+                f"unknown placement {placement!r}; expected "
+                f"'spread' or 'local'")
+    if num_dcs < 1:
+        raise ValueError(f"num_dcs must be >= 1, got {num_dcs}")
+    base = params if params is not None else ModelParams()
+    if base.num_sites % num_dcs:
+        raise ValueError(
+            f"num_sites={base.num_sites} does not split "
+            f"into {num_dcs} equal datacenters")
+    return GridSweep(
+        (("placement", placements), ("protocol", protocols),
+         ("rtt_ms", tuple(float(rtt) for rtt in rtts_ms))),
+        configure=lambda placement, protocol, rtt_ms: PointConfig(
+            protocol, base.replace(
+                mpl=mpl,
+                network_topology=topology_for(base.num_sites, num_dcs,
+                                              rtt_ms),
+                prefer_local_cohorts=(placement == "local")),
+            measured_transactions, seed),
+        point=_point, summary=_summary,
+        label=lambda placement, protocol, rtt_ms: (
+            f"wan: {protocol} @ rtt={rtt_ms:.0f}ms ({placement})"))
 
-    def topology_for(self, rtt_ms: float) -> NetworkTopology:
-        return NetworkTopology(
-            kind=TopologyKind.DCS,
-            num_dcs=self.num_dcs,
-            sites_per_dc=self.base_params.num_sites // self.num_dcs,
-            rtt_ms=rtt_ms)
 
-    def point_params(self, rtt_ms: float, placement: str) -> ModelParams:
-        return self.base_params.replace(
-            mpl=self.mpl,
-            network_topology=self.topology_for(rtt_ms),
-            prefer_local_cohorts=(placement == "local"))
+def topology_for(num_sites: int, num_dcs: int,
+                 rtt_ms: float) -> NetworkTopology:
+    """``num_dcs`` datacenters of ``num_sites / num_dcs`` sites at
+    ``rtt_ms`` apart."""
+    return NetworkTopology(kind=TopologyKind.DCS, num_dcs=num_dcs,
+                           sites_per_dc=num_sites // num_dcs,
+                           rtt_ms=rtt_ms)
 
-    def run_point(self, protocol: str, rtt_ms: float,
-                  placement: str) -> WanPoint:
-        captured: list[repro.DistributedSystem] = []
-        result = repro.simulate(
-            protocol, params=self.point_params(rtt_ms, placement),
-            measured_transactions=self.measured_transactions,
-            seed=self.seed, on_system=captured.append)
-        system = captured[0]
-        return WanPoint(
-            protocol, rtt_ms, placement, result,
-            cross_dc_messages=system.network.cross_dc_messages,
-            intra_dc_messages=system.network.intra_dc_messages,
-            cross_dc_round_trips_per_commit=(
-                system.metrics.cross_dc_round_trips_per_commit()))
 
-    def run(self, progress: typing.Callable[[str], None] | None = None,
-            ) -> WanResults:
-        points: dict[tuple[str, float, str], WanPoint] = {}
-        for placement in self.placements:
-            for protocol in self.protocols:
-                for rtt in self.rtts:
-                    if progress is not None:
-                        progress(f"wan: {protocol} @ rtt={rtt:.0f}ms "
-                                 f"({placement})")
-                    points[(protocol, rtt, placement)] = self.run_point(
-                        protocol, rtt, placement)
-        return WanResults(points, self.protocols, self.rtts,
-                          self.placements)
+def _point(config: PointConfig, **_: typing.Any) -> Metrics:
+    captured: list[DistributedSystem] = []
+    result = config.simulate(on_system=captured.append)
+    system = captured[0]
+    return {
+        "result": result,
+        "response_ms": result.response_time_ms,
+        "throughput": result.throughput,
+        # remote-message split observed by the network layer (whole run)
+        "cross_dc_messages": system.network.cross_dc_messages,
+        "intra_dc_messages": system.network.intra_dc_messages,
+        # per-committed-transaction round trips from the metrics layer
+        # (measured period only)
+        "cross_dc_round_trips_per_commit":
+            system.metrics.cross_dc_round_trips_per_commit(),
+    }
+
+
+def _summary(results: GridResults) -> str:
+    lines = ["== wan: commit latency vs cross-DC round-trip time =="]
+    for placement in results.values("placement"):
+        # rows are RTTs; resp/xdc-rt per protocol
+        lines.append(results.table(
+            "rtt_ms", "protocol",
+            lambda point: (f"{point['response_ms']:.0f}ms/"
+                           f"{point['cross_dc_round_trips_per_commit']:.1f}"),
+            corner="rtt", label_width=8, min_width=18, pad=11,
+            row_label=lambda rtt: f"{rtt:.0f}ms",
+            col_label=lambda protocol: f"{protocol} (resp/xdc-rt)",
+            title=f"-- placement: {placement} --", placement=placement))
+    top_rtt = results.values("rtt_ms")[-1]
+    for placement in results.values("placement"):
+        ranked = results.ranked("response_ms", along="protocol",
+                                rtt_ms=top_rtt, placement=placement)
+        lines.append(f"at rtt={top_rtt:.0f}ms, {placement}: fastest commit "
+                     + " < ".join(ranked))
+    return "\n".join(lines)

@@ -33,6 +33,7 @@ from repro.experiments.runner import (
     default_chunksize,
     resolve_jobs,
     run_point_spec,
+    run_point_summary,
 )
 
 FIXTURE = pathlib.Path(__file__).parent.parent / "data" / "golden_sweep.json"
@@ -161,7 +162,7 @@ def test_chunked_parallel_matches_golden_fixture():
 def test_lean_summaries_match_full_results():
     specs = [_spec(mpl=1), _spec(mpl=2)]
     full = ParallelSweepRunner(jobs=2).run(specs)
-    lean = ParallelSweepRunner(jobs=2).run(specs, lean=True)
+    lean = ParallelSweepRunner(jobs=2).run(specs, run_point_summary)
     for spec, result, summary in zip(specs, full, lean):
         assert isinstance(summary, PointSummary)
         assert summary == PointSummary.from_result(spec, result)
@@ -173,7 +174,7 @@ def test_lean_summaries_match_full_results():
 
 
 def test_lean_serial_path_also_summarizes():
-    summary, = ParallelSweepRunner(jobs=1).run([_spec()], lean=True)
+    summary, = ParallelSweepRunner(jobs=1).run([_spec()], run_point_summary)
     assert isinstance(summary, PointSummary)
     assert summary.committed == 12
 
@@ -210,15 +211,16 @@ def test_serial_path_raises_directly():
 # ----------------------------------------------------------------------
 # Progress: completion-time semantics + chunked counts
 # ----------------------------------------------------------------------
-def test_progress_fires_after_completion_serial(monkeypatch):
+def test_progress_fires_after_completion_serial():
     events = []
-    real = run_point_spec
-    monkeypatch.setattr("repro.experiments.runner.run_point_spec",
-                        lambda spec: (events.append(("run", spec.label)),
-                                      real(spec))[1])
+
+    def run(spec):
+        events.append(("run", spec.label))
+        return run_point_spec(spec)
+
     runner = ParallelSweepRunner(
         jobs=1, progress=lambda label: events.append(("progress", label)))
-    runner.run([_spec(mpl=1), _spec(mpl=2)])
+    runner.run([_spec(mpl=1), _spec(mpl=2)], run)
     assert events == [
         ("run", "2PC @ MPL 1"), ("progress", "2PC @ MPL 1"),
         ("run", "2PC @ MPL 2"), ("progress", "2PC @ MPL 2"),

@@ -232,6 +232,52 @@ class TestWan:
         assert code == 2
         assert text.startswith("error:")
 
+    @pytest.mark.parametrize("dcs", ["0", "-1"])
+    def test_wan_fewer_than_one_dc_is_a_cli_error(self, dcs):
+        code, text = run_cli("wan", "--dcs", dcs, "--transactions", "10")
+        assert code == 2
+        assert text.startswith("error:")
+        assert "num_dcs must be >= 1" in text
+
+
+class TestGridSweeps:
+    """Behaviour every grid-sweep subcommand shares."""
+
+    def test_invalid_point_fails_before_any_simulation(self):
+        code, text = run_cli("wan", "--protocols", "2PC,CENT",
+                             "--rtts", "0", "--transactions", "10")
+        assert code == 2
+        assert text.startswith("error:")
+        assert "CENT baseline" in text
+        assert "  ... " not in text   # zero points ran
+
+    def test_all_excludes_cent_on_a_multi_dc_sweep(self):
+        code, text = run_cli("wan", "--protocols", "all", "--rtts", "0",
+                             "--placements", "spread",
+                             "--transactions", "5", "--quiet")
+        assert code == 0
+        assert "PAXOS (resp/xdc-rt)" in text
+        assert "CENT" not in text
+
+    def test_all_includes_cent_on_saturation(self):
+        code, text = run_cli("saturation", "--protocols", "all",
+                             "--rates", "1", "--transactions", "5",
+                             "--quiet")
+        assert code == 0
+        assert "CENT (car/shed/p95)" in text
+
+    @pytest.mark.parametrize("argv, axis", [
+        (["availability", "--mttfs", "0,0"], "mttf_ms"),
+        (["availability", "--protocols", "2PC,2PC"], "protocol"),
+        (["replication", "--factors", "1,1"], "factor"),
+    ])
+    def test_duplicate_axis_values_are_a_cli_error(self, argv, axis):
+        code, text = run_cli(*argv, "--transactions", "5")
+        assert code == 2
+        assert text.startswith("error:")
+        assert f"axis '{axis}' repeats" in text
+        assert "  ... " not in text
+
 
 def test_parser_requires_command():
     with pytest.raises(SystemExit):

@@ -23,7 +23,7 @@ import repro
 from repro.config import ModelParams
 from repro.db.messages import MessageKind
 from repro.db.wal import LogRecordKind
-from repro.experiments.availability import AvailabilitySweep
+from repro.experiments import availability
 from repro.experiments.runner import point_seed
 from repro.faults import (
     CrashEvent,
@@ -158,12 +158,12 @@ class TestDeterminism:
 
     def test_availability_sweep_reproducible(self):
         def run():
-            sweep = AvailabilitySweep(("2PC",), mttfs=(40_000.0,),
-                                      mttr_ms=2_000.0,
-                                      measured_transactions=50, seed=5)
-            point = sweep.run().point("2PC", 40_000.0)
-            return (dataclasses.asdict(point.result), point.crashes,
-                    point.messages_dropped, point.in_doubt_resolved)
+            sweep = availability.sweep(("2PC",), mttfs=(40_000.0,),
+                                       mttr_ms=2_000.0,
+                                       measured_transactions=50, seed=5)
+            point = sweep.run().point(protocol="2PC", mttf_ms=40_000.0)
+            return (dataclasses.asdict(point["result"]), point["crashes"],
+                    point["messages_dropped"], point["in_doubt_resolved"])
 
         assert run() == run()
 

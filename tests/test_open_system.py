@@ -100,12 +100,12 @@ class TestOpenDeterminism:
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_saturation_sweep_reproducible(self):
-        from repro.experiments.saturation import SaturationSweep
+        from repro.experiments import saturation
 
         def run():
-            sweep = SaturationSweep(("2PC", "OPT"), rates=(1.0, 2.0),
-                                    measured_transactions=60, seed=3)
-            return {key: dataclasses.asdict(point.result)
+            sweep = saturation.sweep(("2PC", "OPT"), rates=(1.0, 2.0),
+                                     measured_transactions=60, seed=3)
+            return {key: dataclasses.asdict(point["result"])
                     for key, point in sweep.run().points.items()}
 
         assert run() == run()

@@ -60,6 +60,18 @@ class TestSimulateFunction:
         assert repro.__version__
 
 
+class TestExperimentsApi:
+    def test_grid_sweeps_replace_the_per_sweep_classes(self):
+        import repro.experiments as experiments
+        assert {"GridSweep", "GridResults"} <= set(experiments.__all__)
+        for prefix in ("Availability", "Wan", "RegionOutage",
+                       "Replication", "Saturation"):
+            for suffix in ("Point", "Results", "Sweep"):
+                assert prefix + suffix not in experiments.__all__
+        for name in experiments.__all__:
+            assert hasattr(experiments, name)
+
+
 class TestRepoConsistency:
     """The docs must not drift from the code."""
 
@@ -115,6 +127,7 @@ class TestRepoConsistency:
                 "repro.core.unsolicited_vote", "repro.core.early_prepare",
                 "repro.core.linear",
                 "repro.experiments.base", "repro.experiments.overheads",
+                "repro.experiments.grid",
                 "repro.analysis.tables", "repro.analysis.export"):
             module = importlib.import_module(module_name)
             assert module.__doc__, f"{module_name} lacks a docstring"
