@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests, tier-2 (slow sweep) tests, and the
-# benchmark smoke gate so kernel perf regressions fail loudly.
+# CI entry point: tier-1 tests, the benchmark's own tests, tier-2 (slow
+# sweep) tests, and the benchmark smoke gate so kernel perf regressions
+# fail loudly.
 #
 #   scripts/ci.sh              # everything
 #   CI_SKIP_TIER2=1 scripts/ci.sh   # quick loop: tier-1 + bench smoke only
@@ -10,6 +11,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: fast test suite =="
 python -m pytest -x -q -m "not tier2"
+
+# The benchmark's own tests: its checks, metric names and the layer
+# table it patches the program through (perfbench/README.md).
+echo "== benchmark contract: perfbench tests =="
+python -m pytest -q perfbench/test_bench.py
 
 echo "== fault smoke: injection subsystem lane =="
 python -m pytest -q -m faults

@@ -10,9 +10,10 @@ Consequences implemented here:
 - wire latency is zero *by default*;
 - the *sender's process* is occupied while the send-side MsgCPU cost is
   paid (at message priority);
-- the receive-side MsgCPU cost is paid by an independent delivery
-  process at the receiving site, after which the message lands in the
-  receiver's inbox;
+- the receive-side MsgCPU cost is paid at the receiving site by a
+  delivery that runs as a chain of event callbacks (``_deliver``), so
+  the sender is not held; the message then lands in the receiver's
+  inbox;
 - messages between agents at the *same site* are free (they correspond
   to the master talking to its local cohort) and are delivered
   immediately.
@@ -38,6 +39,8 @@ from repro.db.messages import MessageKind
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind, MessageDeliver, MessageSend, MsgDrop
 from repro.sim.events import Event
+from repro.sim.process import _Resume
+from repro.sim.resources import PRIORITY_MESSAGE
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.messages import Message
@@ -46,6 +49,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.transaction import Agent
     from repro.faults.injector import FaultInjector
     from repro.sim.engine import Environment
+    from repro.sim.resources import Request
+
+#: Stages of a remote delivery (see ``Network._deliver``).
+_WIRE, _RECEIVE, _DONE = range(3)
 
 
 class Network:
@@ -135,38 +142,61 @@ class Network:
                 self._drop(message, "loss")
                 return
             delay += faults.delay_message(message)
-        # Receive side: an independent process so the sender is not
-        # blocked while the receiver's CPU works through its queue.
-        self.env.process(self._deliver(message, delay, cross_dc),
-                         name=f"deliver-{message.kind.value}")
+        # Receive side: a callback chain, so the sender is not blocked
+        # while the receiver's CPU works through its queue.
+        self.env.schedule(_Resume(
+            lambda _: self._deliver(message, delay, cross_dc, _WIRE),
+            True, None))
 
-    def _deliver(self, message: "Message", delay: float = 0.0,
-                 cross_dc: bool = False,
-                 ) -> typing.Generator[Event, typing.Any, None]:
-        if delay > 0.0:
-            # Wire latency: topology link delay plus injected delay
-            # (the paper's healthy switch has neither).
-            yield self.env.timeout(delay)
+    def _deliver(self, message: "Message", delay: float, cross_dc: bool,
+                 stage: int, claim: "Request | None" = None) -> None:
+        """Run one stage of a remote delivery.
+
+        A delivery is a chain of event callbacks, one call per stage:
+        ``_WIRE`` (scheduled by ``send`` at the current instant) waits
+        out the wire delay, if any; ``_RECEIVE`` makes the receiver-side
+        fault checks and claims the receive MsgCPU; ``_DONE`` runs when
+        that service has ended and puts the message in the inbox.
+        """
+        env = self.env
+        if stage == _WIRE:
+            if delay > 0.0:
+                # Wire latency: topology link delay plus injected delay
+                # (the paper's healthy switch has neither).
+                env.schedule(_Resume(
+                    lambda _: self._deliver(message, delay, cross_dc,
+                                            _RECEIVE),
+                    True, None), delay)
+                return
+            stage = _RECEIVE
         faults = self.faults
-        if faults is not None and not message.receiver.site.up:
-            # Receiver's site is down: nobody pays the receive cost.
-            # For a cross-DC message this check runs *after* the link
-            # delay elapsed, so a mid-flight crash still eats it.
-            self._drop(message, "site_down")
+        site = message.receiver.site
+        if stage == _RECEIVE:
+            if faults is not None and not site.up:
+                # Receiver's site is down: nobody pays the receive cost.
+                # For a cross-DC message this check runs *after* the
+                # link delay elapsed, so a mid-flight crash still eats
+                # it.
+                self._drop(message, "site_down")
+                return
+            if faults is not None and faults.link_severed(*message.link):
+                # The partition started while the message was in
+                # flight: it never makes it across the cut.
+                self._drop(message, "partition")
+                return
+            claim = site.cpu.request(PRIORITY_MESSAGE, self.msg_cpu_ms)
+            claim.callbacks.append(  # type: ignore[union-attr]
+                lambda _: self._deliver(message, delay, cross_dc, _DONE,
+                                        claim))
             return
-        if faults is not None and faults.link_severed(*message.link):
-            # The partition started while the message was in flight:
-            # it never makes it across the cut.
-            self._drop(message, "partition")
-            return
-        yield from message.receiver.site.message_cpu(self.msg_cpu_ms)
-        if faults is not None and not message.receiver.site.up:
+        site.cpu.release(claim)  # type: ignore[arg-type]
+        if faults is not None and not site.up:
             # Site crashed while the receive CPU was being served; the
             # in-flight delivery is part of the lost volatile state.
             self._drop(message, "site_down")
             return
         if self.bus.has_subscribers(EventKind.MSG_DELIVER):
-            self.bus.publish(MessageDeliver(self.env.now, message,
+            self.bus.publish(MessageDeliver(env.now, message,
                                             link=message.link,
                                             delay_ms=delay,
                                             cross_dc=cross_dc))

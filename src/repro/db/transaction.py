@@ -28,8 +28,8 @@ from repro.obs.events import (
     TimeoutFired,
 )
 from repro.sim.events import Event
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Store
+from repro.sim.process import Interrupt, Process, _Resume
+from repro.sim.resources import PRIORITY_DATA, Store
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.locks import LockMode
@@ -360,8 +360,8 @@ class CohortAgent(Agent):
         self.site.lock_manager.finalize(self, committed=True)
         updated = self.access.updated_pages
         if updated:
-            self.env.process(self._flush_updates(updated),
-                             name=f"{self.txn.name}-flush@{self.site.site_id}")
+            self.env.schedule(_Resume(lambda _: self._flush_updates(updated),
+                                      True, None))
             if self.system.replicas is not None:
                 self.env.process(
                     self._replicate_updates(updated),
@@ -372,15 +372,26 @@ class CohortAgent(Agent):
         self.state = CohortState.ABORTED
         self.site.lock_manager.finalize(self, committed=False)
 
-    def _flush_updates(self, pages: tuple[int, ...],
-                       ) -> typing.Generator[Event, typing.Any, None]:
+    def _flush_updates(self, pages: tuple[int, ...], index: int = 0) -> None:
         """Asynchronously write updated pages back to the data disks.
 
         These writes happen after commit, off the transaction's response
         path, but they do consume data-disk capacity (paper Section 4.1).
+        They run as a chain of event callbacks, not a process: each call
+        starts the write of ``pages[index]``, and its end starts the next.
         """
-        for page in pages:
-            yield from self.site.write_page(page)
+        if index == len(pages):
+            return
+        site = self.site
+        site.pages_written += 1
+        disk = site.data_disk_for(pages[index])
+        claim = disk.request(PRIORITY_DATA, site.page_disk_ms)
+
+        def written(_: Event) -> None:
+            disk.release(claim)
+            self._flush_updates(pages, index + 1)
+
+        claim.callbacks.append(written)  # type: ignore[union-attr]
 
     def _replicate_updates(self, pages: tuple[int, ...],
                            ) -> typing.Generator[Event, typing.Any, None]:

@@ -39,9 +39,13 @@ class LogRecordKind(enum.Enum):
     REPLICA_UPDATE = "replica-update"  # replication: applied copy write
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class LogRecord:
-    """One log record (bookkeeping only; contents are not simulated)."""
+    """One log record (bookkeeping only; contents are not simulated).
+
+    Slotted: under the default WAL retention every record lives for the
+    whole run.
+    """
 
     kind: LogRecordKind
     txn_id: int

@@ -153,6 +153,35 @@ def test_crashed_site_drops_in_flight_cross_dc_message():
     assert drops[0].time == 25.0
 
 
+def test_crash_during_receive_cpu_drops_after_charging_receiver():
+    """A receiver that crashes while its receive MsgCPU is in service
+    still pays that CPU, then drops the message as ``site_down``."""
+    config = FaultConfig(
+        crash_schedule=(CrashEvent(1, 7.0, 10_000.0),))
+    system = _system("uniform", config)
+    system.faults.start()
+    log = EventLog(kinds=(EventKind.MSG_DROP,)).attach(system.bus)
+    txn = FakeTransaction()
+    sender = FakeAgent(system, 0, txn)
+    receiver = FakeAgent(system, 1, txn)
+    done = _send(system, Message(MessageKind.PREPARE, sender, receiver,
+                                 txn.txn_id, 0))
+    system.env.run(until=100.0)
+    # Send CPU 0-5ms, receive CPU 5-10ms, crash at 7ms: the drop is
+    # recorded when the receive service ends, not at crash time.
+    network = system.network
+    assert done == [5.0]
+    assert len(receiver.inbox) == 0
+    drops = log.of_kind(EventKind.MSG_DROP)
+    assert [(e.reason, e.time) for e in drops] == [("site_down", 10.0)]
+    receiver_cpu = system.sites[1].cpu
+    assert receiver_cpu._served == 1
+    assert receiver_cpu.busy_snapshot() == 5.0
+    assert receiver_cpu.in_service == 0
+    assert network.drops_by_reason == {"site_down": 1}
+    assert network.messages_dropped == sum(network.drops_by_reason.values())
+
+
 def test_end_to_end_wan_run_with_faults_completes():
     """Smoke: a full simulation composing WAN topology + crash faults
     terminates and reports both planes' counters."""
