@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests, the benchmark's own tests, tier-2 (slow
-# sweep) tests, and the benchmark smoke gate so kernel perf regressions
-# fail loudly.
+# CI entry point: tier-1 tests, the benchmark's own tests, the fault
+# lane and the blocking benchmark, tier-2 (slow sweep) tests, and the
+# benchmark smoke gate so kernel perf regressions fail loudly.
 #
 #   scripts/ci.sh              # everything
 #   CI_SKIP_TIER2=1 scripts/ci.sh   # quick loop: tier-1 + bench smoke only
@@ -19,6 +19,12 @@ python -m pytest -q perfbench/test_bench.py
 
 echo "== fault smoke: injection subsystem lane =="
 python -m pytest -q -m faults
+
+# X1's headline assertions: under a master stall before the decision,
+# 2PC/PA/PC hold their locks for the whole outage while 3PC unblocks
+# within the decision timeout and sustains throughput (~3 s).
+echo "== blocking benchmark (master-crash scenarios) =="
+python -m pytest -q benchmarks/bench_blocking_failure.py
 
 # One cheap region-outage point end-to-end through the CLI: a DC crash
 # on a 2x2-DC grid must finish (no hangs in recovery/termination) and

@@ -527,6 +527,11 @@ class MasterAgent(Agent):
 
     def force_log(self, kind: LogRecordKind,
                   ) -> typing.Generator[Event, typing.Any, None]:
+        faults = self.system.faults
+        if faults is not None and faults.stall_txn_id == self.txn.txn_id \
+                and kind is LogRecordKind.COMMIT:
+            # FaultConfig.decision_stall: go silent before deciding.
+            yield from faults.stall_decision(self)
         self._note_decision(kind)
         yield from super().force_log(kind)
 

@@ -4,18 +4,18 @@ The paper compares commit protocols under failure-free operation and
 argues (Section 2.4) that blocking protocols can bring transaction
 processing to a halt when a master fails at the wrong moment, while 3PC
 survives.  This module makes that argument measurable -- an extension
-beyond the paper's experiments (DESIGN.md section 6):
+beyond the paper's experiments (DESIGN.md section 6), run on the fault
+plane (:class:`~repro.faults.DecisionStall`):
 
-- one designated transaction's master **crashes** immediately after its
-  cohorts enter their decision-wait (for 2PC/PA/PC: after all YES votes;
-  for 3PC: after all PRECOMMIT-ACKs);
-- under a **blocking** protocol, the prepared cohorts simply hold their
-  update locks until the master recovers (``crash_duration_ms`` later)
-  and completes the protocol;
+- one designated transaction's master goes silent just before forcing
+  its COMMIT record, with every cohort prepared (3PC: precommitted);
+- under a **blocking** protocol, the prepared cohorts find no decision
+  to read and hold their update locks until the master recovers
+  (``crash_duration_ms`` later) and completes the protocol;
 - under **3PC** the cohorts time out (``decision_timeout_ms``), run the
-  termination protocol among themselves -- paying an election round of
-  messages -- and commit from the precommitted state without the master;
-- everything else keeps running, piling up behind the crashed
+  termination protocol among themselves -- paying a round of messages --
+  and commit from the precommitted state without the master;
+- everything else keeps running, piling up behind the stalled
   transaction's locks.
 
 The report gives the cohorts' *unblock latency* (crash to last lock
@@ -28,24 +28,16 @@ import dataclasses
 import typing
 
 from repro.config import ModelParams
-from repro.core.presumed_abort import PresumedAbort
-from repro.core.presumed_commit import PresumedCommit
-from repro.core.three_phase import ThreePhaseCommit
-from repro.core.two_phase import TwoPhaseCommit
-from repro.db.messages import MessageKind
+from repro.core import create_protocol
 from repro.db.system import DistributedSystem
-from repro.db.transaction import CohortState, TransactionOutcome
 from repro.db.wal import LogRecordKind
-from repro.obs.events import EventKind, LockRelease, SiteCrash, SiteRecover
+from repro.faults import DecisionStall, FaultConfig, FaultTimeouts
+from repro.obs.events import EventKind
+from repro.obs.recorder import EventLog
 
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.recorder import EventLog
-
-BLOCKING_BASES = {
-    "2PC": TwoPhaseCommit,
-    "PA": PresumedAbort,
-    "PC": PresumedCommit,
-}
+#: a deadline no run reaches: in the scenario only the cohorts'
+#: decision wait may time out (the others stay the healthy waits).
+_NEVER_MS = 1e12
 
 
 @dataclasses.dataclass
@@ -81,125 +73,6 @@ class BlockingReport:
                 f"{self.outage_throughput:6.2f} txn/s")
 
 
-class _CrashingBlockingProtocol:
-    """Mixin: the target master crashes after collecting YES votes and
-    recovers ``crash_duration_ms`` later; cohorts stay blocked."""
-
-    def __init__(self, target_txn_id: int, crash_duration_ms: float):
-        super().__init__()
-        self.target_txn_id = target_txn_id
-        self.crash_duration_ms = crash_duration_ms
-        self.crash_time: float | None = None
-
-    def master_commit(self, master):
-        if master.txn.txn_id != self.target_txn_id:
-            return (yield from super().master_commit(master))
-        if isinstance(self, PresumedCommit):
-            yield from master.force_log(LogRecordKind.COLLECTING)
-        all_yes = yield from self.collect_votes(master)
-        assert all_yes, "crash scenario assumes a YES-voting transaction"
-        # CRASH: the master goes silent with every cohort prepared.
-        self.crash_time = master.env.now
-        bus = self.system.bus
-        if bus.has_subscribers(EventKind.SITE_CRASH):
-            bus.publish(SiteCrash(master.env.now, master.site.site_id,
-                                  master.txn.txn_id))
-        yield master.env.timeout(self.crash_duration_ms)
-        if bus.has_subscribers(EventKind.SITE_RECOVER):
-            bus.publish(SiteRecover(master.env.now, master.site.site_id,
-                                    master.txn.txn_id))
-        # RECOVERY: complete the protocol normally.
-        yield from self.master_commit_phase(master)
-        return TransactionOutcome.COMMITTED
-
-
-class Crashing2PC(_CrashingBlockingProtocol, TwoPhaseCommit):
-    pass
-
-
-class CrashingPA(_CrashingBlockingProtocol, PresumedAbort):
-    pass
-
-
-class CrashingPC(_CrashingBlockingProtocol, PresumedCommit):
-    pass
-
-
-#: Scenario classes for the blocking protocols, keyed by protocol name.
-_CRASHING = {
-    "2PC": Crashing2PC,
-    "PA": CrashingPA,
-    "PC": CrashingPC,
-}
-
-
-class Crashing3PC(ThreePhaseCommit):
-    """3PC with a master crash after the precommit round, and the
-    cohort-side termination protocol that makes 3PC non-blocking."""
-
-    def __init__(self, target_txn_id: int, crash_duration_ms: float,
-                 decision_timeout_ms: float):
-        super().__init__()
-        self.target_txn_id = target_txn_id
-        self.crash_duration_ms = crash_duration_ms
-        self.decision_timeout_ms = decision_timeout_ms
-        self.crash_time: float | None = None
-        self.terminations = 0
-
-    # ------------------------------------------------------------------
-    def master_commit(self, master):
-        if master.txn.txn_id != self.target_txn_id:
-            return (yield from super().master_commit(master))
-        all_yes = yield from self.collect_votes(master)
-        assert all_yes
-        yield from master.force_log(LogRecordKind.PRECOMMIT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.PRECOMMIT, cohort)
-        for _ in master.prepared_cohorts:
-            message = yield master.recv()
-            assert message.kind is MessageKind.PRECOMMIT_ACK
-        # CRASH: every cohort is precommitted; master goes silent.  The
-        # cohorts will decide among themselves; the recovered master
-        # simply forgets (its cohorts have already terminated).
-        self.crash_time = master.env.now
-        bus = self.system.bus
-        if bus.has_subscribers(EventKind.SITE_CRASH):
-            bus.publish(SiteCrash(master.env.now, master.site.site_id,
-                                  master.txn.txn_id))
-        yield master.env.timeout(self.crash_duration_ms)
-        if bus.has_subscribers(EventKind.SITE_RECOVER):
-            bus.publish(SiteRecover(master.env.now, master.site.site_id,
-                                    master.txn.txn_id))
-        master.log(LogRecordKind.END)
-        return TransactionOutcome.COMMITTED
-
-    def cohort_commit(self, cohort):
-        if cohort.txn.txn_id != self.target_txn_id:
-            return (yield from super().cohort_commit(cohort))
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=True)
-        if vote != "yes":
-            return
-        message = yield cohort.recv()
-        assert message.kind is MessageKind.PRECOMMIT
-        yield from cohort.force_log(LogRecordKind.PRECOMMIT)
-        cohort.state = CohortState.PRECOMMITTED
-        assert cohort.master is not None
-        yield from cohort.send(MessageKind.PRECOMMIT_ACK, cohort.master)
-        # Await the decision -- with a timeout, because masters fail.
-        message = yield from cohort.recv_wait(self.decision_timeout_ms,
-                                              wait="decision")
-        if message is None:
-            # Termination protocol: a status-inquiry round trip with
-            # each peer cohort, routed through the network so the
-            # messages are counted, costed and published like any other
-            # traffic (not free same-site CPU spins).  Every reachable
-            # peer is precommitted, so commit without the master.
-            self.terminations += 1
-            yield from self.termination_round(cohort)
-        yield from cohort.force_log(LogRecordKind.COMMIT)
-        cohort.implement_commit()
-
-
 def run_crash_scenario(protocol: str,
                        crash_duration_ms: float = 20_000.0,
                        decision_timeout_ms: float = 500.0,
@@ -207,56 +80,61 @@ def run_crash_scenario(protocol: str,
                        params: ModelParams | None = None,
                        measured_transactions: int = 600,
                        seed: int | None = None,
-                       event_log: "EventLog | None" = None) -> BlockingReport:
-    """Crash the designated transaction's master; report the damage.
+                       event_log: EventLog | None = None) -> BlockingReport:
+    """Stall the designated transaction's master; report the damage.
 
-    ``protocol`` is one of ``2PC``, ``PA``, ``PC`` (blocking) or ``3PC``
-    (non-blocking).  Pass an :class:`~repro.obs.recorder.EventLog` as
-    ``event_log`` to capture the run's full event stream (e.g. to show
-    it is identical to a healthy run's right up to the crash).
+    ``protocol`` is any registered protocol name.  Pass an
+    :class:`~repro.obs.recorder.EventLog` as ``event_log`` to capture
+    the run's full event stream (e.g. to show it is identical to an
+    unstalled run's right up to the crash).  Raises ``RuntimeError``
+    when the scenario does not apply: the target never decides, another
+    agent decides (LIN-2PC's chain tail), or no cohort prepares (CENT).
     """
     if params is None:
         params = ModelParams(mpl=4)
     name = protocol.upper()
-    if name == "3PC":
-        instance: typing.Any = Crashing3PC(target_txn_id, crash_duration_ms,
-                                           decision_timeout_ms)
-    else:
-        try:
-            scenario = _CRASHING[name]
-        except KeyError:
-            raise KeyError(
-                f"no crash scenario for {protocol!r}; "
-                f"choose from {(*BLOCKING_BASES, '3PC')}") from None
-        instance = scenario(target_txn_id, crash_duration_ms)
-    system = DistributedSystem(params, instance, seed=seed)
+    faults = FaultConfig(
+        decision_stall=DecisionStall(target_txn_id, crash_duration_ms),
+        timeouts=FaultTimeouts(work_timeout_ms=_NEVER_MS,
+                               vote_timeout_ms=_NEVER_MS,
+                               decision_timeout_ms=decision_timeout_ms,
+                               ack_timeout_ms=_NEVER_MS))
+    system = DistributedSystem(params, create_protocol(name), seed=seed,
+                               faults=faults)
     if event_log is not None:
         event_log.attach(system.bus)
 
-    # Record when the target transaction's cohorts release their locks:
-    # a committed-path LOCK_RELEASE of the target transaction, at any
-    # site (one per cohort).
-    release_times: list[float] = []
-
-    def record_release(event: LockRelease) -> None:
-        if event.committed and event.cohort.txn.txn_id == target_txn_id:
-            release_times.append(event.time)
-
-    system.bus.subscribe(EventKind.LOCK_RELEASE, record_release)
+    log = EventLog(kinds=(EventKind.SITE_CRASH, EventKind.LOCK_RELEASE))
+    log.attach(system.bus)
     system.run(measured_transactions=measured_transactions,
                warmup_transactions=0)
-
-    crash_time = instance.crash_time
-    if crash_time is None:
+    # The stall publishes the master's SITE_CRASH; each of the target's
+    # cohorts, one committed-path LOCK_RELEASE (at its own site).
+    crashes = log.of_kind(EventKind.SITE_CRASH)
+    release_times = [event.time
+                     for event in log.of_kind(EventKind.LOCK_RELEASE)
+                     if event.committed
+                     and event.cohort.txn.txn_id == target_txn_id]
+    if not crashes:
+        if release_times:
+            raise RuntimeError(f"{name} decides elsewhere: transaction "
+                               f"{target_txn_id}'s master never forced "
+                               "a COMMIT record to stall before")
         raise RuntimeError(
             "the target transaction never reached its commit phase; "
             "increase measured_transactions or lower target_txn_id")
+    crash_time = crashes[0].time
+    released = [t for t in release_times if t >= crash_time]
+    if not released:
+        raise RuntimeError(f"{name} cohorts never prepare: no lock of "
+                           f"transaction {target_txn_id} outlived the "
+                           "stall")
     outage_end = crash_time + crash_duration_ms
     committed_in_window = _commits_between(system, crash_time, outage_end)
     return BlockingReport(
         protocol=name,
         crash_time_ms=crash_time,
-        release_times_ms=[t for t in release_times if t >= crash_time],
+        release_times_ms=released,
         committed_during_outage=committed_in_window,
         outage_window_ms=crash_duration_ms)
 
@@ -284,9 +162,9 @@ def compare_blocking(crash_duration_ms: float = 20_000.0,
                      ) -> dict[str, BlockingReport]:
     """Run the crash scenario under each protocol; return the reports.
 
-    Defaults to the headline 2PC-vs-3PC comparison; pass
-    ``protocols=("2PC", "PA", "PC", "3PC")`` for every registered
-    blocking protocol plus the non-blocking termination path.  A shared
+    Defaults to the headline 2PC-vs-3PC comparison; pass e.g.
+    ``protocols=("2PC", "PA", "PC", "3PC")`` for the presumption
+    variants too, or any other registered protocol names.  A shared
     ``seed`` gives every protocol the identical workload, so differences
     in the reports are the protocols' alone.
     """

@@ -2,14 +2,15 @@
 
 The paper's argument about commit protocols is ultimately an argument
 about *failures* -- blocking in the 2PC family versus 3PC's termination
-protocol -- yet most simulation studies (this reproduction's scripted
-:mod:`repro.failures` scenarios included) only ever crash one
-hand-picked process.  This package generalizes that: a seeded,
-deterministic :class:`FaultPlan` schedules stochastic site crash/recover
-cycles (MTTF/MTTR) or explicit crash schedules, plus per-message loss in
-the network; the :class:`FaultInjector` executes the plan against a
-running :class:`~repro.db.system.DistributedSystem`, and the protocol
-layer (``core/base.py``) supplies the timeout and WAL-replay recovery
+protocol -- yet most simulation studies only ever crash one hand-picked
+process.  This package generalizes that: a seeded, deterministic
+:class:`FaultPlan` schedules stochastic site crash/recover cycles
+(MTTF/MTTR) or explicit crash schedules, plus per-message loss in the
+network, and a :class:`DecisionStall` silences one coordinator just
+before its COMMIT record (the :mod:`repro.failures` scenarios).  The
+:class:`FaultInjector` executes the plan against a running
+:class:`~repro.db.system.DistributedSystem`, and the protocol layer
+(``core/base.py``) supplies the timeout and WAL-replay recovery
 machinery every registered protocol inherits.
 
 Determinism: all fault draws come from dedicated named RNG streams
@@ -32,12 +33,19 @@ nothing: the system runs byte-identical to one built without faults
 (pinned against ``tests/data/golden_sweep.json``).
 """
 
-from repro.faults.plan import CrashEvent, FaultConfig, FaultPlan, FaultTimeouts
+from repro.faults.plan import (
+    CrashEvent,
+    DecisionStall,
+    FaultConfig,
+    FaultPlan,
+    FaultTimeouts,
+)
 from repro.faults.region import RegionDirective, RegionPlan
 from repro.faults.injector import FaultInjector
 
 __all__ = [
     "CrashEvent",
+    "DecisionStall",
     "FaultConfig",
     "FaultInjector",
     "FaultPlan",

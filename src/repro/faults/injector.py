@@ -39,7 +39,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.messages import Message
     from repro.db.site import Site
     from repro.db.system import DistributedSystem
-    from repro.db.transaction import CohortAgent, Transaction
+    from repro.db.transaction import CohortAgent, MasterAgent, Transaction
     from repro.faults.region import RegionDirective
 
 #: cohort states whose volatile context is lost without consequence --
@@ -95,6 +95,10 @@ class FaultInjector:
         #: shared one-shot event triggered at the next partition heal;
         #: lazily (re)created by :meth:`heal_event`.
         self._heal_event: Event | None = None
+        #: transaction whose coordinator stalls before its COMMIT
+        #: record (cleared once the stall fires); None = no stall.
+        stall = config.decision_stall
+        self.stall_txn_id = None if stall is None else stall.txn_id
 
     # ------------------------------------------------------------------
     # Wiring
@@ -130,9 +134,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Queries (used by the network and the protocol layer)
     # ------------------------------------------------------------------
-    def site_is_up(self, site: "Site") -> bool:
-        return site.up
-
     @property
     def partitions_active(self) -> bool:
         """True while any inter-DC link group is severed."""
@@ -214,6 +215,24 @@ class FaultInjector:
             self._crash(site)
             yield env.timeout(downtime)
             self._recover(site)
+
+    def stall_decision(self, master: "MasterAgent"):
+        """Coroutine: the decision stall, run inside ``master``'s force
+        of its COMMIT record (fires once).
+
+        Only the coordinator process goes silent: its site stays up and
+        keeps serving every other transaction.  The stall is published
+        as a crash and recovery of the master alone (``txn_id`` set).
+        """
+        stall = self.config.decision_stall
+        assert stall is not None
+        self.stall_txn_id = None
+        env, bus, site = self.system.env, self.system.bus, master.site
+        if bus.has_subscribers(EventKind.SITE_CRASH):
+            bus.publish(SiteCrash(env.now, site.site_id, stall.txn_id))
+        yield env.timeout(stall.duration_ms)
+        if bus.has_subscribers(EventKind.SITE_RECOVER):
+            bus.publish(SiteRecover(env.now, site.site_id, stall.txn_id))
 
     # ------------------------------------------------------------------
     # Correlated-failure drivers (region fault plans)

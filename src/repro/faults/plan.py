@@ -28,6 +28,17 @@ class CrashEvent:
 
 
 @dataclasses.dataclass(frozen=True)
+class DecisionStall:
+    """The coordinator of ``txn_id`` goes silent for ``duration_ms``
+    just before forcing its COMMIT decision record, with its site up
+    and every cohort prepared (3PC: precommitted); it then completes
+    the protocol.  The master failure of the paper's Section 2.4."""
+
+    txn_id: int
+    duration_ms: float
+
+
+@dataclasses.dataclass(frozen=True)
 class FaultTimeouts:
     """Protocol-layer timeouts (only consulted while faults are active).
 
@@ -85,6 +96,8 @@ class FaultConfig:
     #: correlated-failure plan (whole-DC outages, link partitions) over
     #: the active multi-datacenter topology; None = no region faults.
     region: RegionPlan | None = None
+    #: a coordinator stall before its COMMIT record; None = no stall.
+    decision_stall: DecisionStall | None = None
 
     @property
     def is_active(self) -> bool:
@@ -92,7 +105,8 @@ class FaultConfig:
         return (self.mttf_ms > 0 or self.msg_loss_prob > 0
                 or self.msg_delay_ms > 0 or bool(self.crash_schedule)
                 or (self.region is not None
-                    and bool(self.region.directives)))
+                    and bool(self.region.directives))
+                or self.decision_stall is not None)
 
     def validate(self) -> None:
         if self.mttf_ms < 0:
@@ -114,6 +128,10 @@ class FaultConfig:
                 raise ValueError(f"bad crash schedule entry {event}")
         if self.region is not None:
             self.region.validate()
+        stall = self.decision_stall
+        if stall is not None and (stall.txn_id < 0
+                                  or stall.duration_ms <= 0):
+            raise ValueError(f"bad decision stall {stall}")
         self.timeouts.validate()
 
 

@@ -296,8 +296,9 @@ class DeadlockVictim(SimEvent):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SiteCrash(SimEvent):
-    """A failure: a whole site (``txn_id == -1``) or -- in the scripted
-    blocking scenarios -- a single master process going silent."""
+    """A failure: a whole site (``txn_id == -1``) or -- under a
+    :class:`~repro.faults.DecisionStall` -- the one master process of
+    ``txn_id`` going silent while its site stays up."""
 
     kind = EventKind.SITE_CRASH
     site_id: int

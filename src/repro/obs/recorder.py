@@ -2,9 +2,10 @@
 
 :class:`EventLog` is the simplest useful subscriber: it appends every
 event it sees to a list.  Tests use it to assert on *sequences* of
-behaviour (e.g. that a failure-injection run is indistinguishable from a
-healthy run right up to the crash instant); tools use it to snapshot a
-run for offline inspection.
+behaviour (e.g. that a failure-injection run is indistinguishable from
+the same run without the failure right up to the crash instant); tools
+use it to snapshot a run for offline inspection, or, over the lifecycle
+kinds alone, to trace submissions, outcomes, borrows and victims.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ class TestScenarioMechanics:
             assert report.unblock_latency_ms >= 5_000.0
 
     def test_unknown_protocol_rejected(self):
-        with pytest.raises(KeyError, match="no crash scenario"):
-            run_crash_scenario("OPT")
+        with pytest.raises(ValueError, match="unknown protocol"):
+            run_crash_scenario("NOPE")
 
     def test_target_never_reached_raises(self):
         with pytest.raises(RuntimeError, match="never reached"):

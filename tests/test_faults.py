@@ -27,6 +27,7 @@ from repro.experiments import availability
 from repro.experiments.runner import point_seed
 from repro.faults import (
     CrashEvent,
+    DecisionStall,
     FaultConfig,
     FaultInjector,
     FaultPlan,
@@ -70,6 +71,8 @@ class TestFaultConfig:
         assert FaultConfig(msg_delay_ms=10.0).is_active
         assert FaultConfig(
             crash_schedule=(CrashEvent(0, 10.0, 5.0),)).is_active
+        assert FaultConfig(
+            decision_stall=DecisionStall(40, 1_000.0)).is_active
 
     @pytest.mark.parametrize("bad", [
         dict(mttf_ms=-1.0),
@@ -80,6 +83,9 @@ class TestFaultConfig:
         dict(faulty_kinds=("NO_SUCH_KIND",)),
         dict(crash_schedule=(CrashEvent(0, -5.0, 10.0),)),
         dict(crash_schedule=(CrashEvent(0, 5.0, 0.0),)),
+        dict(decision_stall=DecisionStall(-1, 1_000.0)),
+        dict(decision_stall=DecisionStall(40, 0.0)),
+        dict(decision_stall=DecisionStall(40, -5.0)),
     ])
     def test_validate_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -335,6 +341,20 @@ class TestPresumptionRules:
 # Scripted blocking scenarios ride on the same machinery
 # ----------------------------------------------------------------------
 class TestCrashScenarioIntegration:
+    def test_decision_stall_silences_only_the_master(self):
+        result, injector, log = _faulty_run(
+            "2PC", transactions=60, seed=11,
+            log_kinds=(EventKind.SITE_CRASH, EventKind.SITE_RECOVER),
+            decision_stall=DecisionStall(20, 2_000.0))
+        assert result.committed >= 60
+        crash, recover = log.events
+        assert crash.txn_id == recover.txn_id == 20
+        assert crash.site_id == recover.site_id
+        assert recover.time - crash.time == 2_000.0
+        assert injector.stall_txn_id is None  # fired once
+        # The site stays up: no site crash, no replay.
+        assert injector.crashes == injector.replays == 0
+
     def test_3pc_termination_round_is_network_traffic(self):
         from repro.failures import run_crash_scenario
         log = EventLog(kinds=(EventKind.MSG_SEND,))
