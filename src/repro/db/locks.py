@@ -251,6 +251,11 @@ class LockManager:
                 except ValueError:
                     pass
                 touched.append(request.page)
+            # Only this cohort's own wait goes away: a sibling cohort of
+            # the same transaction may still be queued at another site
+            # (a UV/EP cohort votes NO while a sibling waits), and its
+            # edges must stay visible to deadlock detection.
+            self.wfg.clear_edges(request)
         # Drop all holdings and lendings.
         for page in list(cohort.held_locks):
             entry = self._entries.get(page)
@@ -265,7 +270,6 @@ class LockManager:
                 touched.append(page)
         cohort.held_locks.clear()
         cohort.lending_pages.clear()
-        self.wfg.remove_transaction_waits(cohort.txn)
         # Resolve borrowers (in deterministic order: set iteration order
         # would vary run to run).
         borrowers = sorted(self._borrows.pop(cohort, set()),

@@ -61,6 +61,18 @@ class TestBehaviour:
         two_pc = run_small("2PC", **contended)
         assert uv.block_ratio >= 0.9 * two_pc.block_ratio
 
+    @pytest.mark.parametrize("protocol, seed", [("UV", 8), ("EP", 1)])
+    def test_no_vote_keeps_sibling_wait_edges(self, protocol, seed):
+        """A cohort that votes NO while a sibling still queues for a
+        lock withdraws only its own wait: a deadlock through the sibling
+        is still detected, so the run completes instead of stalling
+        with "simulation ran out of events"."""
+        result = repro.simulate(protocol, mpl=4, measured_transactions=80,
+                                seed=seed, surprise_abort_prob=0.05)
+        assert result.committed >= 80
+        assert result.deadlocks > 0
+        assert result.aborts_by_reason.get("surprise_vote", 0) > 0
+
 
 class TestOptIncompatibility:
     def test_lending_subclass_rejected(self):

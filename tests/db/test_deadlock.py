@@ -1,7 +1,7 @@
 """Unit tests for the wait-for graph and deadlock resolution."""
 
 from repro.db.deadlock import WaitForGraph
-from repro.db.locks import LockMode
+from repro.db.locks import LockManager, LockMode
 
 from tests.db.conftest import FakeCohort, FakeTransaction, acquire_async, acquire_now
 
@@ -46,13 +46,19 @@ class TestEdgeMaintenance:
         wfg.clear_edges(key2)
         assert wfg.blockers_of(a) == set()
 
-    def test_remove_transaction_waits(self, recorder):
+    def test_clear_edges_retracts_only_that_request(self, recorder):
+        """A transaction waits once per cohort; retracting one cohort's
+        request leaves its other cohorts' waits (and other waiters)."""
         wfg = WaitForGraph(on_victim=recorder.on_victim)
         a, b, c = FakeTransaction(), FakeTransaction(), FakeTransaction()
-        wfg.set_edges(_Key(), a, {b})
-        wfg.set_edges(_Key(), a, {c})
+        key_ab, key_ac = _Key(), _Key()
+        wfg.set_edges(key_ab, a, {b})
+        wfg.set_edges(key_ac, a, {c})
         wfg.set_edges(_Key(), b, {c})
-        wfg.remove_transaction_waits(a)
+        wfg.clear_edges(key_ab)
+        assert wfg.blockers_of(a) == {c}
+        assert wfg.blockers_of(b) == {c}
+        wfg.clear_edges(key_ac)
         assert wfg.blockers_of(a) == set()
         assert wfg.blockers_of(b) == {c}
 
@@ -212,3 +218,31 @@ class TestIntegrationWithLockManager:
         c = FakeCohort(submit_time=3.0)
         acquire_async(env, lock_manager, c, 1, LockMode.UPDATE)
         assert recorder.victims == []
+
+    def test_finalize_keeps_sibling_cohort_edges(self, env, lock_manager,
+                                                  recorder, wfg):
+        """Finalizing one cohort withdraws only that cohort's request.
+
+        Under UV/EP a cohort votes NO (and finalizes) while a sibling of
+        the same transaction is still queued at another site; the
+        sibling's wait must stay in the graph, or a cycle through it is
+        never detected and the run stalls.
+        """
+        remote = LockManager(env, site_id=1, wait_for_graph=wfg,
+                             lending_enabled=False,
+                             on_lender_abort=recorder.on_lender_abort)
+        a0 = FakeCohort(submit_time=1.0)       # A's cohort at site 0
+        a1 = FakeCohort(txn=a0.txn)            # A's cohort at site 1
+        b1 = FakeCohort(submit_time=2.0)       # B's cohorts at site 1
+        b2 = FakeCohort(txn=b1.txn)
+        acquire_now(env, lock_manager, a0, 1, LockMode.UPDATE)
+        acquire_now(env, remote, a1, 11, LockMode.UPDATE)
+        acquire_now(env, remote, b1, 10, LockMode.UPDATE)
+        acquire_async(env, remote, a1, 10, LockMode.UPDATE)
+        assert wfg.blockers_of(a0.txn) == {b1.txn}
+        lock_manager.finalize(a0, committed=False)
+        env.run(until=env.now)
+        assert wfg.blockers_of(a0.txn) == {b1.txn}
+        # B now waits for A's surviving cohort: the cycle closes.
+        acquire_async(env, remote, b2, 11, LockMode.UPDATE)
+        assert recorder.victims == [b1.txn]  # youngest in the cycle
