@@ -8,6 +8,12 @@ metrics path.  Routing metrics and admission control through the event
 bus must not perturb a single field -- same seeds, same event order,
 same numbers.  Only regenerate the fixture when a change is *meant* to
 alter results.
+
+Those grids are healthy runs in which every vote is YES.  The
+commit-path fixture (``tests/data/golden_commit_paths.json``) pins the
+rest of the commit machinery -- abort decisions, read-only votes,
+sequential execution and the fault plane -- for every registered
+protocol plus ``PAXOS:f=0``.
 """
 
 import dataclasses
@@ -16,10 +22,13 @@ import pathlib
 
 import pytest
 
-from repro.config import ModelParams
+import repro
+from repro.config import ModelParams, TransactionType
 from repro.experiments.base import MplSweep
+from repro.faults import FaultConfig
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_sweep.json"
+COMMIT_PATHS = FIXTURE.with_name("golden_commit_paths.json")
 
 
 def _round_trip(result):
@@ -56,3 +65,29 @@ def test_tier1_grid_matches_golden_fixture(fixture):
 @pytest.mark.tier2
 def test_tier2_full_protocol_grid_matches_golden_fixture(fixture):
     _check_grid(fixture["tier2"])
+
+
+def test_commit_path_fixture_matches():
+    """Every protocol's abort, read-only, sequential and fault paths
+    reproduce the fixture bit-for-bit."""
+    fixture = json.loads(COMMIT_PATHS.read_text())
+    assert set(repro.PROTOCOL_NAMES) <= set(fixture["protocols"])
+    mismatched = []
+    for protocol in fixture["protocols"]:
+        for name, config in fixture["configs"].items():
+            params = dict(config["params"], mpl=fixture["mpl"])
+            if "trans_type" in params:
+                params["trans_type"] = TransactionType(params["trans_type"])
+            faults = config["faults"]
+            result = repro.simulate(
+                protocol, ModelParams(**params),
+                measured_transactions=fixture["transactions"],
+                seed=fixture["seed"],
+                faults=FaultConfig(**faults) if faults else None)
+            key = f"{protocol}/{name}"
+            if _round_trip(result) != fixture["points"][key]:
+                mismatched.append(key)
+    assert not mismatched, (
+        f"{len(mismatched)} commit-path points diverged: {mismatched}; "
+        f"if the change is intentional, regenerate with "
+        f"scripts/make_golden_sweep.py commit-paths")
