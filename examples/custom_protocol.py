@@ -8,7 +8,8 @@ Usage::
 The paper's Section 3.2 lists further 2PC optimizations; one of them,
 *Long Locks* ("cohorts piggyback their commit acknowledgments onto
 subsequent messages"), is implemented here in ~20 lines by subclassing
-:class:`repro.core.two_phase.TwoPhaseCommit`: cohorts skip the explicit
+:class:`repro.core.two_phase.TwoPhaseCommit` and overriding its decision
+phase (``master_decide`` / ``cohort_decide``): cohorts skip the explicit
 ACK message and the master does not wait for acknowledgements (the
 bookkeeping rides on later traffic, off the critical path).
 
@@ -16,6 +17,7 @@ The example then benchmarks it against stock 2PC and OPT.
 """
 
 import repro
+from repro.core.base import DECISION_RECORDS
 from repro.core.two_phase import TwoPhaseCommit
 from repro.db.messages import MessageKind
 from repro.db.system import DistributedSystem
@@ -23,25 +25,23 @@ from repro.db.wal import LogRecordKind
 
 
 class LongLocks2PC(TwoPhaseCommit):
-    """2PC with piggybacked (elided) commit acknowledgements."""
+    """2PC with piggybacked (elided) decision acknowledgements."""
 
     name = "LL-2PC"
 
-    def master_commit_phase(self, master):
-        yield from master.force_log(LogRecordKind.COMMIT)
+    def master_decide(self, master, kind):
+        yield from master.force_log(DECISION_RECORDS[kind])
         for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.COMMIT, cohort)
+            yield from master.send(kind, cohort)
         # Long Locks: no ACK wait; the end record is written when the
         # piggybacked acknowledgements eventually arrive (off-path).
         master.log(LogRecordKind.END)
 
-    def cohort_decision(self, cohort):
-        message = yield cohort.recv()
-        if message.kind is MessageKind.COMMIT:
-            yield from cohort.force_log(LogRecordKind.COMMIT)
+    def cohort_decide(self, cohort, kind):
+        yield from cohort.force_log(DECISION_RECORDS[kind])
+        if kind is MessageKind.COMMIT:
             cohort.implement_commit()
         else:
-            yield from cohort.force_log(LogRecordKind.ABORT)
             cohort.implement_abort()
         # No ACK message: it piggybacks on later traffic.
 

@@ -23,7 +23,7 @@ PAXOS     Paxos Commit, F=1 quorum commit (``PAXOS:f=<F>`` general)
 ========  =======================================================
 """
 
-from repro.core.base import CommitProtocol
+from repro.core.base import CommitProtocol, Presumption
 from repro.core.centralized import CentralizedCommit
 from repro.core.early_prepare import EarlyPrepare
 from repro.core.linear import LinearTwoPhaseCommit, OptimisticLinear
@@ -57,6 +57,7 @@ __all__ = [
     "OptimisticThreePhase",
     "PROTOCOL_NAMES",
     "PaxosCommit",
+    "Presumption",
     "PresumedAbort",
     "PresumedCommit",
     "ThreePhaseCommit",

@@ -8,16 +8,22 @@ cohort side of commit processing -- written against the agent primitives
 :meth:`~repro.db.transaction.Agent.log`).  Because message and log costs
 are charged inside those primitives, the per-protocol overhead counts of
 the paper's Tables 3 and 4 fall out of the implementation for free.
+
+The 2PC family shares one decision phase (``master_decide`` /
+``cohort_decide``) whose costs follow from the protocol's
+:class:`Presumption` (paper Section 2).
 """
 
 from __future__ import annotations
 
 import abc
+import enum
 import typing
 
 from repro.db.messages import MessageKind
 from repro.db.transaction import (
     AbortReason,
+    Agent,
     CohortAgent,
     CohortState,
     MasterAgent,
@@ -34,6 +40,31 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 MasterGenerator = typing.Generator[Event, typing.Any, TransactionOutcome]
 CohortGenerator = typing.Generator[Event, typing.Any, None]
 
+#: The log record that makes each decision message's outcome durable.
+DECISION_RECORDS = {MessageKind.COMMIT: LogRecordKind.COMMIT,
+                    MessageKind.ABORT: LogRecordKind.ABORT}
+
+
+class Presumption(enum.Enum):
+    """What a coordinator with no decision record assumes.
+
+    The value is the presumed decision, or None when nothing is presumed.
+    docs/MODEL.md tabulates the decision costs each one sets.
+    """
+
+    NOTHING = None               # 2PC
+    ABORT = MessageKind.ABORT    # PA
+    COMMIT = MessageKind.COMMIT  # PC
+
+
+def _write(agent: Agent, record: LogRecordKind, forced: bool,
+           ) -> typing.Generator[Event, typing.Any, None]:
+    """Append ``record`` to ``agent``'s log, forced or not."""
+    if forced:
+        yield from agent.force_log(record)
+    else:
+        agent.log(record)
+
 
 class CommitProtocol(abc.ABC):
     """Base class for all commit protocols."""
@@ -44,6 +75,9 @@ class CommitProtocol(abc.ABC):
     lending: bool = False
     #: True for protocols with an extra (precommit) phase.
     non_blocking: bool = False
+    #: what a coordinator with no decision record assumes; sets every
+    #: decision cost of :meth:`master_decide` / :meth:`cohort_decide`.
+    presumption: Presumption = Presumption.NOTHING
 
     def __init__(self) -> None:
         self.system: "DistributedSystem | None" = None
@@ -94,8 +128,12 @@ class CommitProtocol(abc.ABC):
         ``master.prepared_cohorts`` (the set phase two must talk to);
         read-only voters (when the optimization is enabled) are recorded
         in ``master.read_only_cohorts`` and excluded from phase two.
+        Under presumed commit the collecting record (the cohort roster)
+        is forced first: it must be stable before any cohort prepares.
         """
         assert self.system is not None
+        if self.presumption is Presumption.COMMIT:
+            yield from master.force_log(LogRecordKind.COLLECTING)
         master.prepared_cohorts = []
         master.read_only_cohorts = []
         for cohort in master.cohorts:
@@ -132,14 +170,12 @@ class CommitProtocol(abc.ABC):
         return all_yes
 
     def cohort_vote(self, cohort: CohortAgent,
-                    no_vote_forced: bool,
                     ) -> typing.Generator[Event, typing.Any, str]:
         """The cohort's voting step; returns ``"yes"``, ``"no"`` or
         ``"read_only"``.
 
         A NO vote is a unilateral abort: the cohort undoes locally and
-        never waits for a decision.  ``no_vote_forced`` controls whether
-        the abort record is forced (2PC/PC: yes; PA: presumed, so no).
+        never waits for a decision (see :meth:`vote_no`).
         """
         assert self.system is not None
         master = cohort.master
@@ -166,12 +202,7 @@ class CommitProtocol(abc.ABC):
                     break
                 # stray traffic; keep waiting.
         if self.system.surprise_no_vote():
-            if no_vote_forced:
-                yield from cohort.force_log(LogRecordKind.ABORT)
-            else:
-                cohort.log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-            yield from cohort.send(MessageKind.VOTE_NO, master)
+            yield from self.vote_no(cohort)
             return "no"
         if (self.system.params.read_only_optimization
                 and cohort.access.is_read_only):
@@ -186,6 +217,47 @@ class CommitProtocol(abc.ABC):
         cohort.site.lock_manager.prepare(cohort)
         yield from cohort.send(MessageKind.VOTE_YES, master)
         return "yes"
+
+    def vote_no(self, cohort: CohortAgent,
+                ) -> typing.Generator[Event, typing.Any, None]:
+        """Abort unilaterally and vote NO.  The abort record is forced
+        unless abort is the presumed outcome."""
+        assert cohort.master is not None
+        yield from _write(cohort, LogRecordKind.ABORT,
+                          self.presumption is not Presumption.ABORT)
+        cohort.implement_abort()
+        yield from cohort.send(MessageKind.VOTE_NO, cohort.master)
+
+    def master_decide(self, master: MasterAgent, kind: MessageKind,
+                      ) -> typing.Generator[Event, typing.Any, None]:
+        """Log the decision ``kind`` (COMMIT or ABORT; forced unless it
+        is a presumed abort), send it to the prepared cohorts and, unless
+        it is the presumed outcome, await their ACKs and log the end."""
+        yield from _write(master, DECISION_RECORDS[kind],
+                          self.presumption is not Presumption.ABORT
+                          or kind is MessageKind.COMMIT)
+        for cohort in master.prepared_cohorts:
+            yield from master.send(kind, cohort)
+        if kind is not self.presumption.value:
+            master.mark_phase(CommitPhase.ACK)
+            yield from self.collect_acks(master, MessageKind.ACK,
+                                         len(master.prepared_cohorts))
+            master.log(LogRecordKind.END)
+
+    def cohort_decide(self, cohort: CohortAgent, kind: MessageKind,
+                      ) -> typing.Generator[Event, typing.Any, None]:
+        """Implement the decision ``kind`` (COMMIT or ABORT) received from
+        the master.  A decision other than the presumed one is forced
+        and acknowledged; the presumed one is logged lazily, no ACK."""
+        assert cohort.master is not None
+        acknowledged = kind is not self.presumption.value
+        yield from _write(cohort, DECISION_RECORDS[kind], acknowledged)
+        if kind is MessageKind.COMMIT:
+            cohort.implement_commit()
+        else:
+            cohort.implement_abort()
+        if acknowledged:
+            yield from cohort.send(MessageKind.ACK, cohort.master)
 
     def abort_outcome(self, master: MasterAgent) -> TransactionOutcome:
         """Record a protocol-level (surprise-vote) abort on the txn."""
@@ -205,7 +277,8 @@ class CommitProtocol(abc.ABC):
     # - ``terminate_without_coordinator``: a chance to decide without the
     #   coordinator at all (3PC's cooperative termination protocol).
     # - ``presumed_outcome``: what a recovered-but-amnesiac coordinator
-    #   log implies (PA: abort; PC: COLLECTING means commit).
+    #   log implies (set by the presumption: PA aborts, PC commits on a
+    #   COLLECTING record; 3PC reads its PRECOMMIT record).
     # - ``coordinator_finished``: whether the coordinator can still
     #   decide (inquiries keep retrying until then).
 
@@ -356,9 +429,17 @@ class CommitProtocol(abc.ABC):
         """The presumption applied when the coordinator's log holds no
         decision record and the coordinator can no longer decide.
 
-        Base rule (2PC and its OPT variants): a recovering coordinator
-        with no information aborts, so the cohort aborts.
+        Presumed commit resolves a stable collecting record to commit
+        (the cost-model reading of the PC rule; docs/MODEL.md, "Failure
+        model & recovery", says how it diverges from a production PC).
+        Otherwise a coordinator with no information aborts.
         """
+        if self.presumption is Presumption.ABORT:
+            return ("abort", "presumed-abort")
+        if self.presumption is Presumption.COMMIT:
+            if LogRecordKind.COLLECTING in kinds:
+                return ("commit", "presumed-commit")
+            return ("abort", "no-collecting-record")
         return ("abort", "no-decision-record")
 
     def coordinator_finished(self, cohort: CohortAgent) -> bool:

@@ -141,7 +141,7 @@ class PaxosCommit(TwoPhaseCommit):
             quorum = all_yes \
                 and (yield from self._await_acceptor_quorum(master, f))
         if not all_yes:
-            yield from self.master_abort_phase(master)
+            yield from self.master_decide(master, MessageKind.ABORT)
             return self.abort_outcome(master)
         key = (txn.txn_id, txn.incarnation)
         if not quorum or key in self._ballot_closed:
@@ -149,12 +149,12 @@ class PaxosCommit(TwoPhaseCommit):
             # the instances): committing would be unsound; abort.
             if txn.abort_reason is None:
                 txn.abort_reason = AbortReason.TIMEOUT
-            yield from self.master_abort_phase(master)
+            yield from self.master_decide(master, MessageKind.ABORT)
             return TransactionOutcome.ABORTED
         # The forced COMMIT record is appended synchronously at this
         # call, so the closed-ballot check above and the decision are
         # one atomic step against any recovery leader's WAL read.
-        yield from self.master_commit_phase(master)
+        yield from self.master_decide(master, MessageKind.COMMIT)
         return TransactionOutcome.COMMITTED
 
     def _await_acceptor_quorum(self, master: MasterAgent, f: int,
@@ -243,9 +243,9 @@ class PaxosCommit(TwoPhaseCommit):
     # ------------------------------------------------------------------
     # Cohort side
     # ------------------------------------------------------------------
-    def cohort_vote(self, cohort: CohortAgent, no_vote_forced: bool,
+    def cohort_vote(self, cohort: CohortAgent,
                     ) -> typing.Generator[Event, typing.Any, str]:
-        vote = yield from super().cohort_vote(cohort, no_vote_forced)
+        vote = yield from super().cohort_vote(cohort)
         # Phase 2a to the remote acceptors (the master-site acceptor
         # already got this vote: the VOTE message *is* its 2a).  Votes
         # other than "no" accept the instance; "read_only" still closes

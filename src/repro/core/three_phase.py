@@ -38,7 +38,7 @@ class ThreePhaseCommit(TwoPhaseCommit):
         if not all_yes:
             # Abort is decided before the precommit phase; it proceeds
             # exactly as in 2PC.
-            yield from self.master_abort_phase(master)
+            yield from self.master_decide(master, MessageKind.ABORT)
             return self.abort_outcome(master)
         # Precommit phase: the preliminary decision.  Once the precommit
         # record is stable, commit is inevitable -- this master never
@@ -53,11 +53,11 @@ class ThreePhaseCommit(TwoPhaseCommit):
                                      len(master.prepared_cohorts),
                                      wait="precommit-acks")
         # Decision phase.
-        yield from self.master_commit_phase(master)
+        yield from self.master_decide(master, MessageKind.COMMIT)
         return TransactionOutcome.COMMITTED
 
     def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=True)
+        vote = yield from self.cohort_vote(cohort)
         if vote != "yes":
             return
         master = cohort.master
@@ -68,11 +68,8 @@ class ThreePhaseCommit(TwoPhaseCommit):
         if message is None:
             return  # resolved through recovery
         if message.kind is MessageKind.ABORT:
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-            yield from cohort.send(MessageKind.ACK, master)
+            yield from self.cohort_decide(cohort, MessageKind.ABORT)
             return
-        assert message.kind is MessageKind.PRECOMMIT, message
         yield from cohort.force_log(LogRecordKind.PRECOMMIT)
         # Precommitted cohorts still hold (and, under OPT, lend) their
         # update locks: the prepared window is *longer* than in 2PC,
@@ -83,9 +80,7 @@ class ThreePhaseCommit(TwoPhaseCommit):
             cohort, (MessageKind.COMMIT,))
         if message is None:
             return  # resolved through recovery
-        yield from cohort.force_log(LogRecordKind.COMMIT)
-        cohort.implement_commit()
-        yield from cohort.send(MessageKind.ACK, master)
+        yield from self.cohort_decide(cohort, MessageKind.COMMIT)
 
     # ------------------------------------------------------------------
     # Recovery: what "non-blocking" buys

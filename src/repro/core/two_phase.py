@@ -6,6 +6,9 @@ to the master, two remote), matching paper Table 3:
 - commit messages: 2 PREPARE + 2 YES + 2 COMMIT + 2 ACK = 8;
 - forced writes: 3 cohort *prepare* + 1 master *commit* + 3 cohort
   *commit* = 7.
+
+PA, PC, UV, EP and Paxos Commit reuse this skeleton; PA and PC differ
+only in their :class:`~repro.core.base.Presumption`.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from repro.core.base import CohortGenerator, CommitProtocol, MasterGenerator
 from repro.db.messages import MessageKind
 from repro.db.transaction import CohortAgent, MasterAgent, TransactionOutcome
-from repro.db.wal import LogRecordKind
-from repro.obs.events import CommitPhase
 
 
 class TwoPhaseCommit(CommitProtocol):
@@ -22,59 +23,20 @@ class TwoPhaseCommit(CommitProtocol):
 
     name = "2PC"
 
-    # ------------------------------------------------------------------
-    # Master side
-    # ------------------------------------------------------------------
     def master_commit(self, master: MasterAgent) -> MasterGenerator:
         all_yes = yield from self.collect_votes(master)
         if all_yes:
-            yield from self.master_commit_phase(master)
+            yield from self.master_decide(master, MessageKind.COMMIT)
             return TransactionOutcome.COMMITTED
-        yield from self.master_abort_phase(master)
+        yield from self.master_decide(master, MessageKind.ABORT)
         return self.abort_outcome(master)
 
-    def master_commit_phase(self, master: MasterAgent):
-        """Force the commit record, notify cohorts, await their ACKs."""
-        yield from master.force_log(LogRecordKind.COMMIT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.COMMIT, cohort)
-        master.mark_phase(CommitPhase.ACK)
-        yield from self.collect_acks(master, MessageKind.ACK,
-                                     len(master.prepared_cohorts))
-        master.log(LogRecordKind.END)
-
-    def master_abort_phase(self, master: MasterAgent):
-        """Force the abort record, notify prepared cohorts, await ACKs."""
-        yield from master.force_log(LogRecordKind.ABORT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.ABORT, cohort)
-        master.mark_phase(CommitPhase.ACK)
-        yield from self.collect_acks(master, MessageKind.ACK,
-                                     len(master.prepared_cohorts))
-        master.log(LogRecordKind.END)
-
-    # ------------------------------------------------------------------
-    # Cohort side
-    # ------------------------------------------------------------------
     def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=True)
+        vote = yield from self.cohort_vote(cohort)
         if vote != "yes":
             return
-        yield from self.cohort_decision(cohort)
-
-    def cohort_decision(self, cohort: CohortAgent):
-        """Receive and implement the global decision (with ACK)."""
-        master = cohort.master
-        assert master is not None
         message = yield from self.await_decision(
             cohort, (MessageKind.COMMIT, MessageKind.ABORT))
         if message is None:
             return  # resolved through recovery; no ACK to send
-        if message.kind is MessageKind.COMMIT:
-            yield from cohort.force_log(LogRecordKind.COMMIT)
-            cohort.implement_commit()
-        else:
-            assert message.kind is MessageKind.ABORT, message
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-        yield from cohort.send(MessageKind.ACK, master)
+        yield from self.cohort_decide(cohort, message.kind)

@@ -4,7 +4,7 @@ In UV (distributed INGRES, Stonebraker 1979) a cohort enters the
 prepared state *unilaterally* when it finishes its work: it force-writes
 its prepare record and its YES vote rides on the work-completion report,
 eliminating the master's PREPARE round entirely.  The decision phase is
-standard 2PC.
+standard 2PC, inherited.
 
 Committing-transaction message counts at ``DistDegree = 3``: the two
 PREPARE messages disappear and the two votes *are* the completion
@@ -24,19 +24,16 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.base import CohortGenerator, CommitProtocol, MasterGenerator
+from repro.core.base import Presumption
+from repro.core.two_phase import TwoPhaseCommit
 from repro.db.messages import MessageKind
-from repro.db.transaction import (
-    CohortAgent,
-    CohortState,
-    MasterAgent,
-    TransactionOutcome,
-)
+from repro.db.transaction import CohortAgent, CohortState, MasterAgent
 from repro.db.wal import LogRecordKind
+from repro.obs.events import CommitPhase
 from repro.sim.events import Event
 
 
-class UnsolicitedVote(CommitProtocol):
+class UnsolicitedVote(TwoPhaseCommit):
     """2PC with unsolicited votes piggybacked on completion reports."""
 
     name = "UV"
@@ -50,6 +47,14 @@ class UnsolicitedVote(CommitProtocol):
                 "will not be forced back to the active state, which "
                 "breaks OPT's bounded abort chain (paper Section 3.2)")
 
+    def master_begin(self, master: MasterAgent,
+                     ) -> typing.Generator[Event, typing.Any, None]:
+        # Under presumed commit (EP) the membership record must be
+        # durable before any cohort can unilaterally enter the prepared
+        # state, i.e. before any cohort starts work.
+        if self.presumption is Presumption.COMMIT:
+            yield from master.force_log(LogRecordKind.COLLECTING)
+
     # ------------------------------------------------------------------
     # Cohort side: prepare unilaterally, vote with the work report.
     # ------------------------------------------------------------------
@@ -59,58 +64,33 @@ class UnsolicitedVote(CommitProtocol):
         master = cohort.master
         assert master is not None
         if self.system.surprise_no_vote():
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-            yield from cohort.send(MessageKind.VOTE_NO, master)
+            yield from self.vote_no(cohort)
             return
         yield from cohort.force_log(LogRecordKind.PREPARE)
         cohort.state = CohortState.PREPARED
         cohort.site.lock_manager.prepare(cohort)
         yield from cohort.send(MessageKind.VOTE_YES, master)
 
-    def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        if cohort.state is not CohortState.PREPARED:
-            return  # voted NO; already aborted unilaterally
-        master = cohort.master
-        assert master is not None
-        message = yield from self.await_decision(
-            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
-        if message is None:
-            return  # resolved through recovery
-        if message.kind is MessageKind.COMMIT:
-            yield from cohort.force_log(LogRecordKind.COMMIT)
-            cohort.implement_commit()
-        else:
-            assert message.kind is MessageKind.ABORT, message
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-        yield from cohort.send(MessageKind.ACK, master)
+    def cohort_vote(self, cohort: CohortAgent,
+                    ) -> typing.Generator[Event, typing.Any, str]:
+        """The vote already went out with the completion report."""
+        return "yes" if cohort.state is CohortState.PREPARED else "no"
+        yield  # pragma: no cover - makes this a generator
 
     # ------------------------------------------------------------------
     # Master side: the votes arrived with the completion reports.
     # ------------------------------------------------------------------
-    def master_commit(self, master: MasterAgent) -> MasterGenerator:
+    def collect_votes(self, master: MasterAgent,
+                      ) -> typing.Generator[Event, typing.Any, bool]:
+        """Tally the votes that rode on the completion reports."""
         master.prepared_cohorts = [
             message.sender for message in master.early_votes
             if message.kind is MessageKind.VOTE_YES]
         no_votes = sum(1 for message in master.early_votes
                        if message.kind is MessageKind.VOTE_NO)
+        master.mark_phase(CommitPhase.DECIDE)
         # Local cohorts report for free (same-site messages carry no
         # kind change); they are prepared iff they said so.
-        all_yes = no_votes == 0 and (
+        return no_votes == 0 and (
             len(master.prepared_cohorts) == len(master.cohorts))
-        if all_yes:
-            yield from master.force_log(LogRecordKind.COMMIT)
-            for cohort in master.prepared_cohorts:
-                yield from master.send(MessageKind.COMMIT, cohort)
-            yield from self.collect_acks(master, MessageKind.ACK,
-                                         len(master.prepared_cohorts))
-            master.log(LogRecordKind.END)
-            return TransactionOutcome.COMMITTED
-        yield from master.force_log(LogRecordKind.ABORT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.ABORT, cohort)
-        yield from self.collect_acks(master, MessageKind.ACK,
-                                     len(master.prepared_cohorts))
-        master.log(LogRecordKind.END)
-        return self.abort_outcome(master)
+        yield  # pragma: no cover - makes this a generator

@@ -11,6 +11,7 @@ from repro.core import (
     OptimisticThreePhase,
     PresumedAbort,
     PresumedCommit,
+    Presumption,
     ThreePhaseCommit,
     TwoPhaseCommit,
     create_protocol,
@@ -31,6 +32,16 @@ class TestHierarchy:
         for name in repro.PROTOCOL_NAMES:
             protocol = create_protocol(name)
             assert protocol.lending == (name in lending), name
+
+    def test_presumptions(self):
+        """The presumption alone sets each 2PC-family protocol's
+        decision costs (docs/MODEL.md table)."""
+        presumed = {"PA": Presumption.ABORT, "OPT-PA": Presumption.ABORT,
+                    "PC": Presumption.COMMIT, "OPT-PC": Presumption.COMMIT,
+                    "EP": Presumption.COMMIT}
+        for name in repro.PROTOCOL_NAMES:
+            expected = presumed.get(name, Presumption.NOTHING)
+            assert create_protocol(name).presumption is expected, name
 
     def test_non_blocking_flags(self):
         for name in repro.PROTOCOL_NAMES:

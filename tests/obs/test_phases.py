@@ -119,6 +119,22 @@ class TestOnRealSimulations:
         breakdown = obs.breakdown("PC")
         assert set(breakdown) == {"execute", "vote", "decide"}
 
+    @pytest.mark.parametrize("protocol, phases", [
+        ("UV", {"execute", "vote", "decide", "ack"}),
+        ("EP", {"execute", "vote", "decide"}),  # presumed commit: no ACKs
+    ], ids=("UV", "EP"))
+    def test_unsolicited_votes_reach_decide_and_ack(self, protocol, phases):
+        """UV/EP votes arrive with the completion reports, so the vote
+        round takes no time; the decision phase is the shared 2PC one,
+        with an ACK round exactly when commit is not presumed."""
+        obs = PhaseLatencyObserver()
+        repro.simulate(protocol, measured_transactions=40, mpl=2,
+                       on_system=lambda system: obs.attach(system.bus))
+        breakdown = obs.breakdown(protocol)
+        assert set(breakdown) == phases
+        assert breakdown["vote"] == 0.0
+        assert breakdown["decide"] > 0
+
     def test_phase_sum_bounds_response_time(self):
         obs = PhaseLatencyObserver()
         result = repro.simulate(

@@ -1,7 +1,7 @@
 """Randomized configuration fuzzing.
 
-Every combination of protocol x topology x feature flags must run to
-completion (no hangs, no crashes).  Complements the hypothesis property
+Every combination of registered protocol x topology x feature flags
+must run to completion (no hangs, no crashes).  Complements the hypothesis property
 tests with a fixed-seed sweep over the *feature* space (admission
 control, group commit, read-only optimization, sequential execution,
 surprise aborts) that the per-feature tests only cover pairwise.
@@ -13,9 +13,6 @@ import pytest
 
 import repro
 from repro.config import ModelParams, TransactionType
-
-PROTOCOLS = ("2PC", "PA", "PC", "3PC", "OPT", "OPT-PA", "OPT-PC",
-             "OPT-3PC", "UV", "EP", "LIN-2PC", "OPT-LIN", "DPCC", "CENT")
 
 
 def _random_config(rng):
@@ -40,7 +37,7 @@ def test_random_feature_combinations_complete(seed):
     rng = random.Random(seed * 7919 + 13)
     ran = 0
     while ran < 5:
-        protocol = rng.choice(PROTOCOLS)
+        protocol = rng.choice(repro.PROTOCOL_NAMES)
         try:
             params = ModelParams(**_random_config(rng))
         except ValueError:
